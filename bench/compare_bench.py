@@ -17,9 +17,10 @@ regresses:
                moves them
 
 Wall-clock and RSS fields are machine-dependent and always ignored.
-Baselines must be produced with WBIST_FORCE_GENERIC_KERNEL=1 so that
-kernel_cycles does not depend on which ISA backend the host supports; the
-comparer enforces that the kernels match before comparing cycle counts.
+Every host runs the same portable width-4 evaluation kernel ("generic-w4",
+256 faulty machines per group), so kernel_cycles does not depend on the
+host; the comparer still enforces that the recorded kernel and block width
+match before comparing cycle counts.
 
 Usage:
   compare_bench.py --baseline bench/baselines/s298.json --current out.json
@@ -114,7 +115,7 @@ def main() -> int:
             failures.append(
                 f"config mismatch: {key} baseline={baseline.get(key)!r} "
                 f"current={current.get(key)!r} (run the bench with the same "
-                f"WBIST_FORCE_GENERIC_KERNEL / --collapse / --threads setup)"
+                f"--collapse / --threads setup)"
             )
 
     base_rows = rows_by_name(baseline, args.baseline)

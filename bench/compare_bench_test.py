@@ -117,7 +117,7 @@ def main():
           run_compare(base, cur), 0, "warning: s298: t_length drifted")
 
     cur = copy.deepcopy(base)
-    cur["kernel"] = "avx2"
+    cur["kernel"] = "generic-w1"
     check("kernel config mismatch fails",
           run_compare(base, cur), 1, "config mismatch: kernel")
 

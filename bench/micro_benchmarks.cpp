@@ -3,18 +3,15 @@
 // expansion, candidate-set construction, and two-level minimization.
 //
 // Besides the google-benchmark suite, main() runs a fault-simulation
-// thread-scaling measurement (1/2/4/hardware threads) plus a per-kernel
-// backend throughput comparison on s5378 (generic widths vs AVX2, scalar
-// generic-w1 as baseline) and writes both to BENCH_faultsim.json in the
-// working directory, so successive PRs can track the perf trajectory
-// mechanically.
+// thread-scaling measurement (1/2/4/hardware threads) plus a lever on/off
+// comparison on s5378 and writes both to BENCH_faultsim.json in the working
+// directory, so successive PRs can track the perf trajectory mechanically.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -286,44 +283,10 @@ bool write_faultsim_scaling_json(const char* path) {
   }
   const double base_ms = rows.front().wall_ms;
 
-  // Kernel-backend throughput on s5378: every compiled-in evaluation kernel
-  // against the scalar generic-w1 baseline, serial so only the block width
-  // varies. Bit-identity across backends rides along.
-  const char* kernel_circuit = "s5378";
-  const std::size_t kernel_time_units = 64;
-  const auto knl = circuits::circuit_by_name(kernel_circuit);
+  const char* lever_circuit = "s5378";
+  const auto knl = circuits::circuit_by_name(lever_circuit);
   const auto kfaults = fault::FaultSet::collapsed(knl);
-  const auto kseq =
-      random_sequence(kernel_time_units, knl.primary_inputs().size(), 5);
   const auto kids = kfaults.all_ids();
-
-  struct KernelRow {
-    const char* name;
-    unsigned words;
-    double wall_ms;
-  };
-  std::vector<KernelRow> kernel_rows;
-  bool kernels_bit_identical = true;
-  {
-    const sim::Kernel* scalar = sim::find_kernel("generic-w1");
-    const fault::FaultSimulator ksim_ref(knl, kfaults, scalar);
-    const fault::GoodTrace ktrace_ref = ksim_ref.make_trace(kseq);
-    const auto kbaseline = ksim_ref.run(ktrace_ref, kids, serial_opt);
-    for (const sim::Kernel& k : sim::kernels()) {
-      const fault::FaultSimulator ksim(knl, kfaults, &k);
-      const fault::GoodTrace ktrace = ksim.make_trace(kseq);
-      kernel_rows.push_back(
-          {k.name, k.words,
-           measure_faultsim_ms(ksim, ktrace, kids, 1, repetitions)});
-      const auto det = ksim.run(ktrace, kids, serial_opt);
-      kernels_bit_identical &=
-          det.detection_time == kbaseline.detection_time &&
-          det.detected_count == kbaseline.detected_count;
-    }
-  }
-  double scalar_ms = 0;
-  for (const KernelRow& k : kernel_rows)
-    if (std::string_view(k.name) == "generic-w1") scalar_ms = k.wall_ms;
 
   // Lever comparison on s5378's full collapsed list over a BIST-length
   // window: every performance lever on vs every lever off, serial, with the
@@ -389,28 +352,8 @@ bool write_faultsim_scaling_json(const char* path) {
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
-      << "  \"kernel_circuit\": \"" << kernel_circuit << "\",\n"
-      << "  \"kernel_faults\": " << kfaults.size() << ",\n"
-      << "  \"kernel_time_units\": " << kernel_time_units << ",\n"
       << "  \"active_kernel\": \"" << sim::active_kernel().name << "\",\n"
-      << "  \"kernels_bit_identical\": "
-      << (kernels_bit_identical ? "true" : "false") << ",\n"
-      << "  \"kernels\": [\n";
-  for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
-    const KernelRow& k = kernel_rows[i];
-    const double fault_cycles =
-        static_cast<double>(kfaults.size()) *
-        static_cast<double>(kernel_time_units);
-    out << "    {\"name\": \"" << k.name << "\", \"words\": " << k.words
-        << ", \"wall_ms\": " << k.wall_ms
-        << ", \"fault_cycles_per_ms\": "
-        << (k.wall_ms > 0 ? fault_cycles / k.wall_ms : 0.0)
-        << ", \"speedup_vs_scalar\": "
-        << (k.wall_ms > 0 ? scalar_ms / k.wall_ms : 0.0) << "}"
-        << (i + 1 < kernel_rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"levers\": {\"circuit\": \"" << kernel_circuit
+      << "  \"levers\": {\"circuit\": \"" << lever_circuit
       << "\", \"faults\": " << kfaults.size()
       << ", \"time_units\": " << lever_time_units << ",\n"
       << "    \"all_off_wall_ms\": " << lever_off_ms
@@ -428,13 +371,11 @@ bool write_faultsim_scaling_json(const char* path) {
       << "}\n";
   std::printf(
       "wrote %s (hardware_concurrency=%u, deterministic=%s, "
-      "active_kernel=%s, kernels_bit_identical=%s, lever_speedup=%.2fx, "
-      "levers_bit_identical=%s)\n",
+      "active_kernel=%s, lever_speedup=%.2fx, levers_bit_identical=%s)\n",
       path, hw, deterministic ? "true" : "false", sim::active_kernel().name,
-      kernels_bit_identical ? "true" : "false",
       lever_on_ms > 0 ? lever_off_ms / lever_on_ms : 0.0,
       levers_bit_identical ? "true" : "false");
-  return deterministic && kernels_bit_identical && levers_bit_identical;
+  return deterministic && levers_bit_identical;
 }
 
 }  // namespace

@@ -24,13 +24,19 @@ using sim::TestSequence;
 using sim::Val3;
 using sim::Word3;
 
-/// One block of up to 64 * kernel.words faulty machines simulated together.
+/// Plane words per group block: every group carries 64 * kWords faulty
+/// machines, walked by sim::eval_core<kWords>.
+constexpr unsigned kWords = sim::kFaultBlockWords;
+/// Plane words per value slot (one + zero planes).
+constexpr std::size_t kStride = 2 * kWords;
+
+/// One block of up to 64 * kWords faulty machines simulated together.
 /// Lane l lives at bit (l % 64) of plane word (l / 64).
 struct FaultSimulator::Group {
   std::vector<FaultId> ids;
   std::vector<std::uint32_t> result_index;  // lane -> position in `ids` span
   unsigned count = 0;
-  std::array<std::uint64_t, sim::kMaxBlockWords> active{};
+  std::array<std::uint64_t, kWords> active{};
 
   std::vector<sim::Injection> source;  // PI / DFF-output stem faults
   std::vector<sim::Injection> latch;   // DFF D-pin faults
@@ -58,45 +64,40 @@ struct FaultSimulator::Group {
   // Cross-segment carry, used only by segmented runs (fault dropping over
   // sequences longer than one segment): the flip-flop state planes at the
   // last segment boundary plus the gating flags the next segment resumes
-  // with. saved_state mirrors GroupScratch::state (ff_count x stride).
+  // with. saved_state mirrors GroupScratch::state (ff_count x kStride).
   std::vector<std::uint64_t> saved_state;
   bool clean = true;        // live lanes' state provably equals the good one
   bool state_stale = false; // saved_state predates clean-skipped cycles
   std::size_t next_clean_check = 0;
   std::size_t clean_check_interval = 1;
 
-  bool any_active(unsigned words) const {
-    for (unsigned w = 0; w < words; ++w)
+  bool any_active() const {
+    for (unsigned w = 0; w < kWords; ++w)
       if (active[w] != 0) return true;
     return false;
   }
 
-  std::uint64_t active_lanes(unsigned words) const {
+  std::uint64_t active_lanes() const {
     std::uint64_t n = 0;
-    for (unsigned w = 0; w < words; ++w)
+    for (unsigned w = 0; w < kWords; ++w)
       n += static_cast<std::uint64_t>(std::popcount(active[w]));
     return n;
   }
 };
 
-FaultSimulator::FaultSimulator(const Netlist& nl, const FaultSet& faults,
-                               const sim::Kernel* kernel)
-    : FaultSimulator(nl, faults, std::make_unique<netlist::FanoutCones>(nl),
-                     kernel) {}
+FaultSimulator::FaultSimulator(const Netlist& nl, const FaultSet& faults)
+    : FaultSimulator(nl, faults, std::make_unique<netlist::FanoutCones>(nl)) {}
 
 FaultSimulator::FaultSimulator(const Netlist& nl, const FaultSet& faults,
-                               const netlist::FanoutCones& cones,
-                               const sim::Kernel* kernel)
-    : FaultSimulator(nl, faults, nullptr, kernel) {
+                               const netlist::FanoutCones& cones)
+    : FaultSimulator(nl, faults, nullptr) {
   cones_ = &cones;
 }
 
 FaultSimulator::FaultSimulator(const Netlist& nl, const FaultSet& faults,
-                               std::unique_ptr<netlist::FanoutCones> cones,
-                               const sim::Kernel* kernel)
+                               std::unique_ptr<netlist::FanoutCones> cones)
     : nl_(&nl),
       faults_(&faults),
-      kernel_(kernel != nullptr ? kernel : &sim::active_kernel()),
       owned_cones_(std::move(cones)),
       cones_(owned_cones_.get()) {
   if (!nl.finalized())
@@ -130,7 +131,7 @@ util::WorkerPool& FaultSimulator::pool(unsigned thread_count) const {
 
 std::vector<FaultSimulator::Group> FaultSimulator::pack_groups(
     std::span<const FaultId> ids, bool locality) const {
-  const unsigned lanes_per_group = 64 * kernel_->words;
+  const unsigned lanes_per_group = 64 * kWords;
 
   // Packing order. Lanes are independent machines, so any permutation is
   // bit-identical in the results (result_index keeps each lane tied to its
@@ -203,37 +204,36 @@ std::vector<FaultSimulator::Group> FaultSimulator::pack_groups(
 
 namespace {
 
-/// Widen one broadcast Word3 into a slot of `words` plane words.
-inline void splat(std::uint64_t* slot, unsigned words, Word3 w) {
-  for (unsigned k = 0; k < words; ++k) {
+/// Widen one broadcast Word3 into every plane word of a slot.
+inline void splat(std::uint64_t* slot, Word3 w) {
+  for (unsigned k = 0; k < kWords; ++k) {
     slot[k] = w.one;
-    slot[words + k] = w.zero;
+    slot[kWords + k] = w.zero;
   }
 }
 
 /// Stuck-at injection on one plane word of a slot.
-inline void force_slot(std::uint64_t* slot, unsigned words, unsigned word,
-                       std::uint64_t mask, bool sa1) {
+inline void force_slot(std::uint64_t* slot, unsigned word, std::uint64_t mask,
+                       bool sa1) {
   if (sa1) {
     slot[word] |= mask;
-    slot[words + word] &= ~mask;
+    slot[kWords + word] &= ~mask;
   } else {
     slot[word] &= ~mask;
-    slot[words + word] |= mask;
+    slot[kWords + word] |= mask;
   }
 }
 
 /// Extract machine `lane` of a slot as a scalar value.
-inline Val3 lane_val(const std::uint64_t* slot, unsigned words,
-                     unsigned lane) {
-  const Word3 w{slot[lane / 64], slot[words + lane / 64]};
+inline Val3 lane_val(const std::uint64_t* slot, unsigned lane) {
+  const Word3 w{slot[lane / 64], slot[kWords + lane / 64]};
   return sim::lane(w, lane % 64);
 }
 
 /// Per-thread scratch for one simulated group: node value planes, flip-flop
 /// state planes, fanin staging and the injection chain index. One instance
 /// per worker rank; reused across every group that rank simulates. All
-/// buffers are flat plane arrays with `stride` words per value slot.
+/// buffers are flat plane arrays with `kStride` words per value slot.
 struct GroupScratch {
   std::vector<std::uint64_t> vals;
   std::vector<std::uint64_t> state;
@@ -243,11 +243,11 @@ struct GroupScratch {
   sim::InjectionIndex inj_index;
 
   GroupScratch(std::size_t node_count, std::size_t ff_count,
-               std::size_t stride, std::size_t max_fanin)
-      : vals(node_count * stride),
-        state(ff_count * stride),
-        next_state(ff_count * stride),
-        fanin_buf(max_fanin * stride),
+               std::size_t max_fanin)
+      : vals(node_count * kStride),
+        state(ff_count * kStride),
+        next_state(ff_count * kStride),
+        fanin_buf(max_fanin * kStride),
         changed((node_count + 63) / 64),
         inj_index(node_count) {}
 
@@ -332,8 +332,6 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
   const std::size_t length = std::min(trace.length, options.max_time_units);
   const std::size_t n_obs = trace.observed.size();
   const NodeId* observed = trace.observed.data();
-  const unsigned words = kernel_->words;
-  const std::size_t stride = sim::block_stride(words);
 
   // The cone and gating levers read fault-free values of arbitrary nodes
   // from the trace's full recording; hand-built traces without one (or with
@@ -411,7 +409,7 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
       if (in_cone(pi) || ((pi_need[pi / 64] >> (pi % 64)) & 1) != 0)
         g.cone_pis.push_back(i);
     }
-    g.rebuild_lanes = g.active_lanes(words);
+    g.rebuild_lanes = g.active_lanes();
   };
   if (use_cones)
     for (Group& g : groups) build_cone(g);
@@ -456,11 +454,11 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
   // driver loop below). Captured by reference in simulate_group.
   std::size_t seg_begin = 0;
   std::size_t seg_end = length;
-  const std::size_t ff_planes = ffs.size() * stride;
+  const std::size_t ff_planes = ffs.size() * kStride;
 
   const auto simulate_group = [&](std::size_t gi, GroupScratch& s) {
     Group& group = groups[gi];
-    if (seg_begin > 0 && use_drop && !group.any_active(words)) return;
+    if (seg_begin > 0 && use_drop && !group.any_active()) return;
     util::TraceSpan group_span(
         "fault_sim.group", util::TraceArg("group", gi),
         util::TraceArg("lanes", group.count),
@@ -503,7 +501,7 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
     std::size_t next_clean_check = group.next_clean_check;
     std::size_t clean_check_interval = group.clean_check_interval;
     for (std::size_t u = seg_begin;
-         u < seg_end && (!use_drop || group.any_active(words)); ++u) {
+         u < seg_end && (!use_drop || group.any_active()); ++u) {
       if (use_gating && clean) {
         // Clean group: the live lanes' state planes equal the good
         // machine's. If additionally no live lane's injection is activated
@@ -527,7 +525,7 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
       }
 
       ++local_cycles;
-      local_fault_cycles += group.active_lanes(words);
+      local_fault_cycles += group.active_lanes();
       local_gates += walk_gates.size();
 
       if (state_stale) {
@@ -535,24 +533,21 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
         // evolving. The group provably tracked the good machine throughout,
         // so its present state is the good state this cycle.
         for (const std::uint32_t i : ff_list)
-          splat(s.state.data() + i * stride, words,
-                trace.full.value(u, ffs[i]));
+          splat(s.state.data() + i * kStride, trace.full.value(u, ffs[i]));
         state_stale = false;
       }
 
       // Load sources and apply source (PI / DFF output) stem faults.
       if (use_cones) {
         for (const std::uint32_t i : group.cone_pis)
-          splat(vals + pis[i] * stride, words,
-                trace.pi_words[u * pis.size() + i]);
+          splat(vals + pis[i] * kStride, trace.pi_words[u * pis.size() + i]);
       } else {
         for (std::size_t i = 0; i < pis.size(); ++i)
-          splat(vals + pis[i] * stride, words,
-                trace.pi_words[u * pis.size() + i]);
+          splat(vals + pis[i] * kStride, trace.pi_words[u * pis.size() + i]);
       }
       for (const std::uint32_t i : ff_list)
-        std::memcpy(vals + ffs[i] * stride, s.state.data() + i * stride,
-                    stride * sizeof(std::uint64_t));
+        std::memcpy(vals + ffs[i] * kStride, s.state.data() + i * kStride,
+                    kStride * sizeof(std::uint64_t));
       if (use_cones) {
         // Frontier refresh. After the group's first walk the frontier slots
         // still hold the broadcast values of the previously walked cycle, so
@@ -583,32 +578,30 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
             const NodeId n = static_cast<NodeId>(
                 w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
             bits &= bits - 1;
-            splat(vals + n * stride, words, trace.full.value(u, n));
+            splat(vals + n * kStride, trace.full.value(u, n));
           }
         }
         last_walk = u;
       }
       for (const sim::Injection& inj : group.source)
-        force_slot(vals + inj.node * stride, words, inj.word, inj.mask,
-                   inj.sa1);
+        force_slot(vals + inj.node * kStride, inj.word, inj.mask, inj.sa1);
 
-      kernel_->eval_core(walk_gates, flat_fanin_.data(), s.inj_index, vals,
-                         s.fanin_buf.data());
+      sim::eval_core<kWords>(walk_gates, flat_fanin_.data(), s.inj_index,
+                             vals, s.fanin_buf.data());
 
       // Detection at observed lines. Out-of-cone lines can never differ
       // from the good machine on a live lane, so restricting the scan to
       // the cone's observed lines is bit-identical.
-      std::array<std::uint64_t, sim::kMaxBlockWords> detected{};
+      std::array<std::uint64_t, kWords> detected{};
       for (const std::uint32_t k : obs_list) {
         const Word3 g = trace.good_obs[u * n_obs + k];
         const std::uint64_t g_binary = g.one ^ g.zero;
         if (g_binary == 0) continue;  // X in the good machine: undetectable
-        const std::uint64_t* f = vals + observed[k] * stride;
-        for (unsigned w = 0; w < words; ++w)
-          detected[w] |=
-              (f[w] ^ f[words + w]) & g_binary & (f[w] ^ g.one);
+        const std::uint64_t* f = vals + observed[k] * kStride;
+        for (unsigned w = 0; w < kWords; ++w)
+          detected[w] |= (f[w] ^ f[kWords + w]) & g_binary & (f[w] ^ g.one);
       }
-      for (unsigned w = 0; w < words; ++w) {
+      for (unsigned w = 0; w < kWords; ++w) {
         std::uint64_t d = detected[w] & group.active[w];
         while (d != 0) {
           const unsigned bit = static_cast<unsigned>(std::countr_zero(d));
@@ -624,8 +617,8 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
           for (const std::uint32_t k : obs_list) {
             const Word3 g = trace.good_obs[u * n_obs + k];
             const std::uint64_t g_binary = g.one ^ g.zero;
-            const std::uint64_t* f = vals + observed[k] * stride;
-            if ((((f[w] ^ f[words + w]) & g_binary & (f[w] ^ g.one)) >> bit) &
+            const std::uint64_t* f = vals + observed[k] * kStride;
+            if ((((f[w] ^ f[kWords + w]) & g_binary & (f[w] ^ g.one)) >> bit) &
                 1) {
               result.detecting_line[ri] = observed[k];
               break;
@@ -634,13 +627,12 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
           ++local_detected;
         }
       }
-      if (!group.any_active(words)) {
+      if (!group.any_active()) {
         if (use_drop) {
           if (u + 1 < length) group_retired[gi] = 1;
           break;
         }
-      } else if (use_cones &&
-                 group.active_lanes(words) * 2 <= group.rebuild_lanes) {
+      } else if (use_cones && group.active_lanes() * 2 <= group.rebuild_lanes) {
         // Enough lanes retired since the last build: shrink the union to
         // the surviving cones. At most log2(lanes) rebuilds per group.
         build_cone(group);
@@ -655,11 +647,11 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
 
       // Latch flip-flops, applying D-pin faults.
       for (const std::uint32_t i : ff_list)
-        std::memcpy(s.next_state.data() + i * stride,
-                    vals + ff_dnet_[i] * stride,
-                    stride * sizeof(std::uint64_t));
+        std::memcpy(s.next_state.data() + i * kStride,
+                    vals + ff_dnet_[i] * kStride,
+                    kStride * sizeof(std::uint64_t));
       for (const sim::Injection& inj : group.latch)
-        force_slot(s.next_state.data() + ff_index_[inj.node] * stride, words,
+        force_slot(s.next_state.data() + ff_index_[inj.node] * kStride,
                    inj.word, inj.mask, inj.sa1);
       s.state.swap(s.next_state);
 
@@ -673,9 +665,9 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
         clean = true;
         for (const std::uint32_t i : ff_list) {
           const Word3 gv = trace.full.value(u, ff_dnet_[i]);
-          const std::uint64_t* st = s.state.data() + i * stride;
-          for (unsigned w = 0; w < words; ++w)
-            if ((((st[w] ^ gv.one) | (st[words + w] ^ gv.zero)) &
+          const std::uint64_t* st = s.state.data() + i * kStride;
+          for (unsigned w = 0; w < kWords; ++w)
+            if ((((st[w] ^ gv.one) | (st[kWords + w] ^ gv.zero)) &
                  group.active[w]) != 0) {
               clean = false;
               break;
@@ -714,7 +706,7 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
   // One dispatch of every current group over [seg_begin, seg_end).
   const auto dispatch_segment = [&]() {
     if (n_threads <= 1) {
-      GroupScratch scratch(nl_->node_count(), ffs.size(), stride, max_fanin_);
+      GroupScratch scratch(nl_->node_count(), ffs.size(), max_fanin_);
       for (std::size_t gi = 0; gi < groups.size(); ++gi)
         simulate_group(gi, scratch);
       return;
@@ -725,7 +717,7 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
     std::vector<GroupScratch> scratch;
     scratch.reserve(wp.size());
     for (unsigned r = 0; r < wp.size(); ++r)
-      scratch.emplace_back(nl_->node_count(), ffs.size(), stride, max_fanin_);
+      scratch.emplace_back(nl_->node_count(), ffs.size(), max_fanin_);
     // Per-rank busy time, timed at group granularity (one clock pair per
     // fault group, invisible next to the group's simulation cost).
     std::vector<std::uint64_t> busy_ns(wp.size(), 0);
@@ -807,9 +799,9 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
           use_cones ? std::span<const std::uint32_t>(g.cone_ffs)
                     : std::span<const std::uint32_t>(all_ffs);
       for (const std::uint32_t i : cover) {
-        std::uint64_t* dst = g.saved_state.data() + i * stride;
+        std::uint64_t* dst = g.saved_state.data() + i * kStride;
         if (has_full)
-          splat(dst, words, trace.full.value(seg_end, ffs[i]));
+          splat(dst, trace.full.value(seg_end, ffs[i]));
         const std::uint64_t ff_word = ffs[i] / 64;
         const std::uint64_t ff_bit = ffs[i] % 64;
         for (std::uint32_t l = 0; l < g.count; ++l) {
@@ -819,13 +811,13 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
           if (use_cones && ((old.cone[ff_word] >> ff_bit) & 1) == 0)
             continue;
           const std::uint32_t sl = src_lane[p];
-          const std::uint64_t* src = old.saved_state.data() + i * stride;
+          const std::uint64_t* src = old.saved_state.data() + i * kStride;
           const std::uint64_t one = (src[sl / 64] >> (sl % 64)) & 1;
-          const std::uint64_t zero = (src[words + sl / 64] >> (sl % 64)) & 1;
+          const std::uint64_t zero = (src[kWords + sl / 64] >> (sl % 64)) & 1;
           const std::uint64_t bit = std::uint64_t{1} << (l % 64);
           dst[l / 64] = (dst[l / 64] & ~bit) | (one << (l % 64));
-          dst[words + l / 64] =
-              (dst[words + l / 64] & ~bit) | (zero << (l % 64));
+          dst[kWords + l / 64] =
+              (dst[kWords + l / 64] & ~bit) | (zero << (l % 64));
         }
       }
       // The new group resumes clean only if every contributing old group
@@ -906,8 +898,6 @@ std::vector<std::vector<Val3>> FaultSimulator::observe_final(
   if (seq.width() != pis.size())
     throw std::invalid_argument("fault_sim: sequence width != #inputs");
 
-  const unsigned words = kernel_->words;
-  const std::size_t stride = sim::block_stride(words);
   std::vector<Group> groups = pack_groups(ids, false);
   const auto ffs = nl_->flip_flops();
   util::TraceSpan span("fault_sim.observe_final",
@@ -927,31 +917,30 @@ std::vector<std::vector<Val3>> FaultSimulator::observe_final(
 
     for (std::size_t u = 0; u < seq.length(); ++u) {
       for (std::size_t i = 0; i < pis.size(); ++i)
-        splat(vals + pis[i] * stride, words, pi_words[u * pis.size() + i]);
+        splat(vals + pis[i] * kStride, pi_words[u * pis.size() + i]);
       for (std::size_t i = 0; i < ffs.size(); ++i)
-        std::memcpy(vals + ffs[i] * stride, s.state.data() + i * stride,
-                    stride * sizeof(std::uint64_t));
+        std::memcpy(vals + ffs[i] * kStride, s.state.data() + i * kStride,
+                    kStride * sizeof(std::uint64_t));
       for (const sim::Injection& inj : group.source)
-        force_slot(vals + inj.node * stride, words, inj.word, inj.mask,
-                   inj.sa1);
+        force_slot(vals + inj.node * kStride, inj.word, inj.mask, inj.sa1);
 
-      kernel_->eval_core(gates_, flat_fanin_.data(), s.inj_index, vals,
-                         s.fanin_buf.data());
+      sim::eval_core<kWords>(gates_, flat_fanin_.data(), s.inj_index,
+                             vals, s.fanin_buf.data());
 
       if (u + 1 == seq.length()) {
         for (unsigned lane = 0; lane < group.count; ++lane)
           for (std::size_t n = 0; n < nodes.size(); ++n)
             result[group.result_index[lane]][n] =
-                lane_val(vals + nodes[n] * stride, words, lane);
+                lane_val(vals + nodes[n] * kStride, lane);
         break;
       }
 
       for (std::size_t i = 0; i < ffs.size(); ++i)
-        std::memcpy(s.next_state.data() + i * stride,
-                    vals + nl_->node(ffs[i]).fanin[0] * stride,
-                    stride * sizeof(std::uint64_t));
+        std::memcpy(s.next_state.data() + i * kStride,
+                    vals + nl_->node(ffs[i]).fanin[0] * kStride,
+                    kStride * sizeof(std::uint64_t));
       for (const sim::Injection& inj : group.latch)
-        force_slot(s.next_state.data() + ff_index_[inj.node] * stride, words,
+        force_slot(s.next_state.data() + ff_index_[inj.node] * kStride,
                    inj.word, inj.mask, inj.sa1);
       s.state.swap(s.next_state);
     }
@@ -962,7 +951,7 @@ std::vector<std::vector<Val3>> FaultSimulator::observe_final(
   const unsigned n_threads = static_cast<unsigned>(std::min<std::size_t>(
       util::WorkerPool::resolve(threads), groups.size()));
   if (n_threads <= 1) {
-    GroupScratch scratch(nl_->node_count(), ffs.size(), stride, max_fanin_);
+    GroupScratch scratch(nl_->node_count(), ffs.size(), max_fanin_);
     for (std::size_t gi = 0; gi < groups.size(); ++gi)
       simulate_group(gi, scratch);
   } else {
@@ -970,7 +959,7 @@ std::vector<std::vector<Val3>> FaultSimulator::observe_final(
     std::vector<GroupScratch> scratch;
     scratch.reserve(wp.size());
     for (unsigned r = 0; r < wp.size(); ++r)
-      scratch.emplace_back(nl_->node_count(), ffs.size(), stride, max_fanin_);
+      scratch.emplace_back(nl_->node_count(), ffs.size(), max_fanin_);
     wp.parallel_for(
         groups.size(),
         [&](std::size_t gi, unsigned rank) { simulate_group(gi, scratch[rank]); });
@@ -1019,8 +1008,6 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
 
   const auto pis = nl_->primary_inputs();
   const std::size_t node_count = nl_->node_count();
-  const unsigned words = kernel_->words;
-  const std::size_t stride = sim::block_stride(words);
   std::vector<Group> groups = pack_groups(ids, false);
   const auto ffs = nl_->flip_flops();
 
@@ -1028,7 +1015,7 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
   // the good machine's full value vector is needed each cycle.
   std::vector<std::vector<std::uint64_t>> group_state(
       groups.size(),
-      std::vector<std::uint64_t>(ffs.size() * stride, ~std::uint64_t{0}));
+      std::vector<std::uint64_t>(ffs.size() * kStride, ~std::uint64_t{0}));
 
   // Per-fault bitset of already-reported lines, one word-aligned stride per
   // fault so concurrent groups never share a word (O(faults x nodes) *bits*,
@@ -1053,7 +1040,7 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
   std::vector<GroupScratch> scratch;
   scratch.reserve(scratch_count);
   for (unsigned r = 0; r < scratch_count; ++r)
-    scratch.emplace_back(node_count, ffs.size(), stride, max_fanin_);
+    scratch.emplace_back(node_count, ffs.size(), max_fanin_);
 
   for (std::size_t u0 = 0; u0 < trace.length; u0 += kBlock) {
     const std::size_t block_len = std::min(kBlock, trace.length - u0);
@@ -1075,17 +1062,15 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
       for (std::size_t b = 0; b < block_len; ++b) {
         const std::size_t u = u0 + b;
         for (std::size_t i = 0; i < pis.size(); ++i)
-          splat(vals + pis[i] * stride, words,
-                trace.pi_words[u * pis.size() + i]);
+          splat(vals + pis[i] * kStride, trace.pi_words[u * pis.size() + i]);
         for (std::size_t i = 0; i < ffs.size(); ++i)
-          std::memcpy(vals + ffs[i] * stride, state.data() + i * stride,
-                      stride * sizeof(std::uint64_t));
+          std::memcpy(vals + ffs[i] * kStride, state.data() + i * kStride,
+                      kStride * sizeof(std::uint64_t));
         for (const sim::Injection& inj : group.source)
-          force_slot(vals + inj.node * stride, words, inj.word, inj.mask,
-                     inj.sa1);
+          force_slot(vals + inj.node * kStride, inj.word, inj.mask, inj.sa1);
 
-        kernel_->eval_core(gates_, flat_fanin_.data(), s.inj_index, vals,
-                           s.fanin_buf.data());
+        sim::eval_core<kWords>(gates_, flat_fanin_.data(), s.inj_index,
+                               vals, s.fanin_buf.data());
 
         // Record every line where some lane's faulty value provably differs
         // from the good value.
@@ -1093,9 +1078,9 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
         for (NodeId node = 0; node < node_count; ++node) {
           const Word3 gv = good_vals[node];
           const std::uint64_t g_binary = gv.one ^ gv.zero;
-          const std::uint64_t* fv = vals + node * stride;
-          for (unsigned w = 0; w < words; ++w) {
-            std::uint64_t diff = (fv[w] ^ fv[words + w]) & g_binary &
+          const std::uint64_t* fv = vals + node * kStride;
+          for (unsigned w = 0; w < kWords; ++w) {
+            std::uint64_t diff = (fv[w] ^ fv[kWords + w]) & g_binary &
                                  (fv[w] ^ gv.one);
             diff &= group.active[w];
             while (diff != 0) {
@@ -1116,12 +1101,12 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
         }
 
         for (std::size_t i = 0; i < ffs.size(); ++i)
-          std::memcpy(s.next_state.data() + i * stride,
-                      vals + nl_->node(ffs[i]).fanin[0] * stride,
-                      stride * sizeof(std::uint64_t));
+          std::memcpy(s.next_state.data() + i * kStride,
+                      vals + nl_->node(ffs[i]).fanin[0] * kStride,
+                      kStride * sizeof(std::uint64_t));
         for (const sim::Injection& inj : group.latch)
-          force_slot(s.next_state.data() + ff_index_[inj.node] * stride,
-                     words, inj.word, inj.mask, inj.sa1);
+          force_slot(s.next_state.data() + ff_index_[inj.node] * kStride,
+                   inj.word, inj.mask, inj.sa1);
         state.swap(s.next_state);
       }
 

@@ -11,10 +11,9 @@
 //
 // Three orthogonal performance levers on top of the group packing:
 //
-//  * The combinational-core walk runs through a runtime-dispatched block
-//    kernel (sim/kernel.h): groups carry 64 * kernel.words faulty machines
-//    (256 with the default 4-word block), and the per-gate plane math runs
-//    through the widest backend the CPU supports (AVX2 on x86 hosts).
+//  * The combinational-core walk runs through the portable block kernel
+//    (sim/kernel.h) at width sim::kFaultBlockWords: each group carries 256
+//    faulty machines.
 //  * Fault groups are independent machines, so the group loop runs on a
 //    worker pool (`FaultSimOptions::threads`). Detection times land in
 //    per-fault result slots, which makes the output bit-identical for any
@@ -127,16 +126,13 @@ struct DetectionResult {
 
 class FaultSimulator {
  public:
-  /// Both `nl` and `faults` must outlive the simulator. `kernel` selects the
-  /// evaluation backend (nullptr = sim::active_kernel(); see sim/kernel.h
-  /// for the environment overrides). All backends are bit-identical.
+  /// Both `nl` and `faults` must outlive the simulator.
   ///
   /// Thread-safety: the simulator parallelizes *internally* (across fault
   /// groups) but its methods must not be called concurrently on the same
   /// instance — they share one lazily grown worker pool. Use one
   /// FaultSimulator per calling thread instead.
-  FaultSimulator(const netlist::Netlist& nl, const FaultSet& faults,
-                 const sim::Kernel* kernel = nullptr);
+  FaultSimulator(const netlist::Netlist& nl, const FaultSet& faults);
 
   /// Same, but *borrowing* precomputed fanout cones instead of deriving
   /// them (the single most expensive part of construction). `cones` must
@@ -146,8 +142,7 @@ class FaultSimulator {
   /// immutable compiled circuit, none of them re-levelizing or re-walking
   /// the fanout closure.
   FaultSimulator(const netlist::Netlist& nl, const FaultSet& faults,
-                 const netlist::FanoutCones& cones,
-                 const sim::Kernel* kernel = nullptr);
+                 const netlist::FanoutCones& cones);
 
   FaultSimulator(const FaultSimulator&) = delete;
   FaultSimulator& operator=(const FaultSimulator&) = delete;
@@ -214,10 +209,6 @@ class FaultSimulator {
   const netlist::Netlist& circuit() const { return *nl_; }
   const FaultSet& fault_set() const { return *faults_; }
 
-  /// The evaluation backend this simulator dispatches to. Groups carry
-  /// 64 * kernel().words faulty machines each.
-  const sim::Kernel& kernel() const { return *kernel_; }
-
   /// Sequential transitive-fanout cones of the circuit (computed once at
   /// construction, or borrowed from a compiled-circuit artifact; drives
   /// cone restriction and locality packing).
@@ -229,8 +220,7 @@ class FaultSimulator {
   /// Delegation target: `cones` owned when non-null (the public borrowing
   /// constructor patches `cones_` afterwards).
   FaultSimulator(const netlist::Netlist& nl, const FaultSet& faults,
-                 std::unique_ptr<netlist::FanoutCones> cones,
-                 const sim::Kernel* kernel);
+                 std::unique_ptr<netlist::FanoutCones> cones);
 
   std::vector<Group> pack_groups(std::span<const FaultId> ids,
                                  bool locality) const;
@@ -245,7 +235,6 @@ class FaultSimulator {
 
   const netlist::Netlist* nl_;
   const FaultSet* faults_;
-  const sim::Kernel* kernel_;
 
   /// Borrowed when constructed against precomputed cones, owned otherwise.
   std::unique_ptr<netlist::FanoutCones> owned_cones_;

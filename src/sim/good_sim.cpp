@@ -30,7 +30,6 @@ void FullTrace::append(std::span<const Word3> raw) {
 
 GoodSimulator::GoodSimulator(const Netlist& nl)
     : nl_(&nl),
-      kernel_(find_kernel("generic-w1")),
       inj_index_(nl.node_count()) {
   if (!nl.finalized())
     throw std::invalid_argument("good_sim: netlist not finalized");
@@ -64,9 +63,9 @@ void GoodSimulator::step(std::span<const Val3> pi_values) {
   const auto ffs = nl_->flip_flops();
   for (std::size_t i = 0; i < ffs.size(); ++i) values_[ffs[i]] = next_state_[i];
 
-  kernel_->eval_core(gates_, flat_fanin_.data(), inj_index_,
-                     reinterpret_cast<std::uint64_t*>(values_.data()),
-                     reinterpret_cast<std::uint64_t*>(fanin_buf_.data()));
+  eval_core<1>(gates_, flat_fanin_.data(), inj_index_,
+               reinterpret_cast<std::uint64_t*>(values_.data()),
+               reinterpret_cast<std::uint64_t*>(fanin_buf_.data()));
 
   for (std::size_t i = 0; i < ffs.size(); ++i)
     next_state_[i] = values_[nl_->node(ffs[i]).fanin[0]];

@@ -98,10 +98,9 @@ class GoodSimulator {
 
  private:
   const netlist::Netlist* nl_;
-  // The combinational core is walked through the shared width-1 evaluation
-  // kernel (sim/kernel.h): a Word3 is exactly a 1-word block, so values_
-  // doubles as the kernel's flat plane buffer.
-  const Kernel* kernel_;
+  // The combinational core is walked through the shared evaluation kernel
+  // at width 1 (sim/kernel.h): a Word3 is exactly a 1-word block, so
+  // values_ doubles as the kernel's flat plane buffer.
   std::vector<GateRec> gates_;  // combinational core in evaluation order
   std::vector<netlist::NodeId> flat_fanin_;
   InjectionIndex inj_index_;       // always empty: the good machine

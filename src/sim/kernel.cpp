@@ -1,109 +1,17 @@
 #include "sim/kernel.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string>
-
 #include "sim/kernel_impl.h"
 
 namespace wbist::sim {
 
-namespace {
-
-bool cpu_supports_avx2() {
-#if defined(WBIST_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-/// Generic-backend block width from WBIST_KERNEL_WORDS (1, 2 or 4);
-/// anything absent or invalid resolves to the full width 4.
-unsigned generic_words_from_env() {
-  const char* v = std::getenv("WBIST_KERNEL_WORDS");
-  if (v == nullptr) return 4;
-  if (std::strcmp(v, "1") == 0) return 1;
-  if (std::strcmp(v, "2") == 0) return 2;
-  return 4;
-}
-
-bool force_generic_from_env() {
-  const char* v = std::getenv("WBIST_FORCE_GENERIC_KERNEL");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-std::vector<Kernel> build_kernels() {
-  std::vector<Kernel> ks;
-  if (cpu_supports_avx2())
-    ks.push_back({"avx2", 4,
-#if defined(WBIST_HAVE_AVX2)
-                  &detail::eval_core_avx2
-#else
-                  nullptr  // unreachable: cpu_supports_avx2() is false
-#endif
-    });
-  ks.push_back({"generic-w4", 4, &detail::eval_core_block<4>});
-  ks.push_back({"generic-w2", 2, &detail::eval_core_block<2>});
-  ks.push_back({"generic-w1", 1, &detail::eval_core_block<1>});
-  return ks;
-}
-
-const std::vector<Kernel>& kernel_table() {
-  static const std::vector<Kernel> table = build_kernels();
-  return table;
-}
-
-const Kernel& resolve_active() {
-  const std::vector<Kernel>& table = kernel_table();
-  if (force_generic_from_env()) {
-    const unsigned words = generic_words_from_env();
-    for (const Kernel& k : table)
-      if (k.words == words && std::strncmp(k.name, "generic", 7) == 0)
-        return k;
-  }
-  return table.front();  // widest ISA backend first, else generic-w4
-}
-
-/// select_kernel() override; null = environment/CPU selection.
-const Kernel* g_selected = nullptr;
-
-}  // namespace
-
-std::span<const Kernel> kernels() { return kernel_table(); }
-
-const Kernel& active_kernel() {
-  if (g_selected != nullptr) return *g_selected;
-  static const Kernel& active = resolve_active();
-  return active;
-}
-
-const Kernel& select_kernel(std::string_view spec) {
-  if (spec == "auto") {
-    g_selected = nullptr;
-    return active_kernel();
-  }
-  const Kernel* k = nullptr;
-  if (spec == "generic") {
-    for (const Kernel& cand : kernel_table())
-      if (std::strncmp(cand.name, "generic", 7) == 0 &&
-          (k == nullptr || cand.words > k->words))
-        k = &cand;
-  } else {
-    k = find_kernel(spec);  // exact names, including "avx2"
-  }
-  if (k == nullptr)
-    throw std::invalid_argument("unknown or unavailable kernel backend: " +
-                                std::string(spec));
-  g_selected = k;
-  return *k;
-}
-
-const Kernel* find_kernel(std::string_view name) {
-  for (const Kernel& k : kernel_table())
-    if (name == k.name) return &k;
-  return nullptr;
-}
+// The two widths in use: GoodSimulator's scalar walk and the fault
+// simulator's group block.
+static_assert(kFaultBlockWords == 4);
+template void eval_core<1>(std::span<const GateRec>, const netlist::NodeId*,
+                           const InjectionIndex&, std::uint64_t*,
+                           std::uint64_t*);
+template void eval_core<4>(std::span<const GateRec>, const netlist::NodeId*,
+                           const InjectionIndex&, std::uint64_t*,
+                           std::uint64_t*);
 
 }  // namespace wbist::sim

@@ -1,37 +1,25 @@
-// Runtime-dispatched combinational-core evaluation kernels.
+// The combinational-core evaluation kernel.
 //
 // Every simulation path in the system (good machine, parallel-fault groups,
 // reverse-order pruning, observation-point selection) bottoms out in the
 // same inner loop: walk the flattened combinational core in topological
-// order and evaluate each gate over three-valued plane words. This header
-// type-erases that loop behind a small function-pointer table so the width
-// of the SIMD block (N x 64 lanes) and the instruction set used to process
-// it are a *runtime* choice:
+// order and evaluate each gate over three-valued plane words. That loop is
+// one portable template, eval_core<N>, over Word3Block<N> (N x 64 lanes)
+// written with plain 64-bit operations; the compiler is free to
+// autovectorize it at the build's baseline ISA. The width is a compile-time
+// choice of the caller:
 //
-//   - "generic" backends evaluate Word3Block<N> with plain 64-bit ops for
-//     N in {1, 2, 4}; the compiler is free to autovectorize them at the
-//     build's baseline ISA. N = 1 is the original scalar Word3 path.
-//   - the "avx2" backend (x86-64 builds with -mavx2 support) processes the
-//     4-word block as one 256-bit vector per plane and is selected by CPUID
-//     at startup.
+//   - GoodSimulator runs width 1 (a Word3 is exactly a 1-word block);
+//   - FaultSimulator runs width kFaultBlockWords = 4, i.e. 256 faulty
+//     machines per group.
 //
-// Selection: kernels() lists every backend compiled in; active_kernel()
-// picks the widest ISA-specific backend the CPU supports, unless the
-// environment overrides it:
-//
-//   WBIST_FORCE_GENERIC_KERNEL=1   force the generic backend (CI uses this
-//                                  to fuzz both code paths on AVX2 hosts)
-//   WBIST_KERNEL_WORDS=N           block width for the generic backend
-//                                  (1, 2 or 4; default 4)
-//
-// All backends are bit-identical by construction (lanes never interact);
-// the sim-diff fuzz campaign enforces this against the scalar oracle for
-// every backend in kernels().
+// Lanes never interact, so both widths agree lane for lane with the scalar
+// Word3 operations; the sim-diff fuzz campaign checks the fault simulator
+// against the RefSimulator oracle.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,7 +29,7 @@
 namespace wbist::sim {
 
 /// One gate of the flattened combinational core in evaluation order
-/// (cache-friendly walk shared by every backend).
+/// (cache-friendly walk shared by every simulator).
 struct GateRec {
   netlist::NodeId id;
   netlist::GateType type;
@@ -97,41 +85,28 @@ class InjectionIndex {
   std::vector<netlist::NodeId> touched_;
 };
 
-/// Evaluate the flattened combinational core once over plane buffers.
-/// `vals` holds node_count slots of 2*words plane words each (layout of
-/// Word3Block: 'one' words then 'zero' words, see word_block.h);
-/// `fanin_buf` must hold max_fanin * 2*words words of staging space for
+/// Evaluate the flattened combinational core once over plane buffers at
+/// block width N (1 or kFaultBlockWords; both are instantiated in
+/// kernel.cpp). `vals` holds node_count slots of 2*N plane words each
+/// (layout of Word3Block: 'one' words then 'zero' words, see word_block.h);
+/// `fanin_buf` must hold max_fanin * 2*N words of staging space for
 /// injected gates.
-using EvalCoreFn = void (*)(std::span<const GateRec> gates,
-                            const netlist::NodeId* flat_fanin,
-                            const InjectionIndex& inj_index,
-                            std::uint64_t* vals, std::uint64_t* fanin_buf);
+template <unsigned N>
+void eval_core(std::span<const GateRec> gates,
+               const netlist::NodeId* flat_fanin,
+               const InjectionIndex& inj_index, std::uint64_t* vals,
+               std::uint64_t* fanin_buf);
 
+/// Fingerprint of the kernel the fault simulator runs, recorded in
+/// benchmark records and the `kernel.backend` metrics label.
 struct Kernel {
-  const char* name;  ///< "generic-w1" | "generic-w2" | "generic-w4" | "avx2"
-  unsigned words;    ///< N: 64-lane plane words per block (lanes = 64 * N)
-  EvalCoreFn eval_core;
+  const char* name;  ///< "generic-w4"
+  unsigned words;    ///< 64-lane plane words per fault-group block
 };
 
-/// Every backend compiled into this binary and runnable on this CPU, widest
-/// first. Always contains at least the generic widths.
-std::span<const Kernel> kernels();
-
-/// The backend FaultSimulator and GoodSimulator use by default: environment
-/// override if present, else the widest ISA-specific backend the CPU
-/// supports, else generic width 4. Resolved once per process.
-const Kernel& active_kernel();
-
-/// Lookup by name ("avx2", "generic-w2", ...); nullptr when absent.
-const Kernel* find_kernel(std::string_view name);
-
-/// Process-wide backend override, set once at startup from the tools'
-/// `--kernel` option and consulted by every later active_kernel() call.
-/// `spec` is "auto" (clear the override: environment/CPU selection applies),
-/// "generic" (widest generic backend), "avx2", or an exact kernel name.
-/// Returns the kernel active_kernel() will now report; throws
-/// std::invalid_argument on an unknown spec or a backend this CPU lacks.
-/// Not thread-safe: call before simulators are constructed.
-const Kernel& select_kernel(std::string_view spec);
+inline const Kernel& active_kernel() {
+  static constexpr Kernel kKernel{"generic-w4", kFaultBlockWords};
+  return kKernel;
+}
 
 }  // namespace wbist::sim

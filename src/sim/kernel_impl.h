@@ -1,7 +1,6 @@
-// Internal: the templated block evaluation loop shared by the kernel
-// backends (kernel_generic via direct instantiation, kernel_avx2 for its
-// injected-gate slow path). Not part of the public sim API — include
-// sim/kernel.h instead.
+// Internal: the definition of the templated block evaluation loop
+// eval_core<N>, instantiated once per width in kernel.cpp. Not part of the
+// public sim API — include sim/kernel.h instead.
 #pragma once
 
 #include <cstring>
@@ -128,36 +127,30 @@ inline void eval_injected_gate(const GateRec& g,
   }
 }
 
-/// The full portable core walk at block width N (the "generic" backends).
+}  // namespace wbist::sim::detail
+
+namespace wbist::sim {
+
 template <unsigned N>
-void eval_core_block(std::span<const GateRec> gates,
-                     const netlist::NodeId* flat_fanin,
-                     const InjectionIndex& inj_index, std::uint64_t* vals,
-                     std::uint64_t* fanin_buf) {
+void eval_core(std::span<const GateRec> gates,
+               const netlist::NodeId* flat_fanin,
+               const InjectionIndex& inj_index, std::uint64_t* vals,
+               std::uint64_t* fanin_buf) {
   constexpr std::size_t kStride = 2 * N;
   for (const GateRec& g : gates) {
     const netlist::NodeId* fanin = flat_fanin + g.fanin_begin;
     std::uint64_t* out = vals + g.id * kStride;
     const std::int32_t head = inj_index.head(g.id);
     if (head < 0) [[likely]] {
-      fold_planes<N>(
+      detail::fold_planes<N>(
           g.type,
           [&](std::uint32_t k) { return vals + fanin[k] * kStride; },
           g.fanin_count, out);
     } else {
-      eval_injected_gate<N>(g, fanin, inj_index, head, vals, out, fanin_buf);
+      detail::eval_injected_gate<N>(g, fanin, inj_index, head, vals, out,
+                                    fanin_buf);
     }
   }
 }
 
-#if defined(WBIST_HAVE_AVX2)
-/// 256-bit backend: one __m256i per plane over the 4-word block. Defined in
-/// kernel_avx2.cpp (compiled with -mavx2); callable only after a CPUID
-/// check for AVX2 support.
-void eval_core_avx2(std::span<const GateRec> gates,
-                    const netlist::NodeId* flat_fanin,
-                    const InjectionIndex& inj_index, std::uint64_t* vals,
-                    std::uint64_t* fanin_buf);
-#endif
-
-}  // namespace wbist::sim::detail
+}  // namespace wbist::sim

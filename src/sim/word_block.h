@@ -3,14 +3,13 @@
 // A Word3Block<N> packs 64*N machines into 2*N 64-bit planes laid out as
 // one[0..N) followed by zero[0..N). The layout is standard-layout and
 // contiguous, so a buffer of blocks is exactly the flat plane array the
-// runtime-dispatched simulation kernels (sim/kernel.h) operate on: node k's
-// planes live at offset k * 2N, 'one' words first. Lane l of a block maps to
-// bit (l % 64) of word (l / 64).
+// evaluation kernel (sim/kernel.h) operates on: node k's planes live at
+// offset k * 2N, 'one' words first. Lane l of a block maps to bit (l % 64)
+// of word (l / 64).
 //
 // All operations are per-lane and lanes never interact, so every operation
 // over Word3Block<N> is bit-identical to running the scalar Word3 operation
-// independently on each of the N words — the property the kernel backends
-// (generic widths and AVX2) are fuzzed against.
+// independently on each of the N words.
 #pragma once
 
 #include <array>
@@ -21,17 +20,13 @@
 
 namespace wbist::sim {
 
-/// Widest block any backend uses (AVX2 = 4 x 64 = one __m256i per plane).
-inline constexpr unsigned kMaxBlockWords = 4;
-
-/// Plane words per value slot for a block of `n_words` (one + zero planes).
-inline constexpr std::size_t block_stride(unsigned n_words) {
-  return 2 * static_cast<std::size_t>(n_words);
-}
+/// Block width of the fault simulator's groups: 4 x 64 = 256 faulty
+/// machines. The only other width in use is 1 (the good machine).
+inline constexpr unsigned kFaultBlockWords = 4;
 
 template <unsigned N>
 struct Word3Block {
-  static_assert(N >= 1 && N <= kMaxBlockWords);
+  static_assert(N == 1 || N == kFaultBlockWords);
 
   std::array<std::uint64_t, N> one{};
   std::array<std::uint64_t, N> zero{};
@@ -125,7 +120,7 @@ inline Word3Block<N> force(Word3Block<N> b, unsigned word, std::uint64_t mask,
 }
 
 /// Evaluate one combinational gate over fanin blocks (reference semantics
-/// for the kernel backends; mirrors sim::eval_gate lane for lane).
+/// for the evaluation kernel; mirrors sim::eval_gate lane for lane).
 template <unsigned N>
 inline Word3Block<N> eval_gate_block(netlist::GateType type,
                                      std::span<const Word3Block<N>> in) {

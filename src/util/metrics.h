@@ -128,7 +128,7 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name);
   Series& series(std::string_view name);
 
-  /// Set a string-valued annotation (e.g. the resolved kernel backend).
+  /// Set a string-valued annotation (e.g. the evaluation kernel).
   /// Last write wins; labels are cleared by reset().
   void set_label(std::string_view name, std::string_view value);
 

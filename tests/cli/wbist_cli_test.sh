@@ -1,11 +1,12 @@
 #!/bin/sh
 # Integration test for the `wbist` CLI exit-code contract:
 #   0 = success, 1 = runtime failure (bad circuit, unwritable path, ...),
-#   2 = usage error (unknown command, missing argument).
-# Run by ctest as: wbist_cli_test.sh <path-to-wbist-binary>
+#   2 = usage error (unknown command, missing argument, unknown flag).
+# Run by ctest as: wbist_cli_test.sh <path-to-wbist-binary> [<wbist_bench>]
 set -u
 
-WBIST=${1:?usage: wbist_cli_test.sh <wbist-binary>}
+WBIST=${1:?usage: wbist_cli_test.sh <wbist-binary> [<wbist_bench-binary>]}
+WBIST_BENCH=${2:-}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 FAILURES=0
@@ -27,6 +28,48 @@ expect 2 "no arguments"
 expect 2 "unknown command" frobnicate
 expect 2 "info without circuit" info
 expect 2 "tgen without circuit" tgen
+
+# Leftover flags and extra operands on the positional commands are usage
+# errors: nothing is written (no file named after the flag, no default
+# output) and the typo is never silently ignored.
+mkdir -p "$WORK/cwd"
+# expect_nothing_written <label> <arg...>: exit 2 and an empty cwd.
+expect_nothing_written() {
+  label=$1; shift
+  (cd "$WORK/cwd" && "$WBIST" "$@" > /dev/null 2> "$WORK/err.txt")
+  got=$?
+  if [ "$got" -ne 2 ] || [ -n "$(ls -A "$WORK/cwd")" ]; then
+    echo "FAIL: $label: exit $got (wanted 2), cwd holds:" \
+      "$(ls -A "$WORK/cwd") (wbist $*)" >&2
+    FAILURES=$((FAILURES + 1))
+    rm -rf "$WORK/cwd" && mkdir -p "$WORK/cwd"
+  fi
+}
+expect_nothing_written "emit with unknown flag" emit s27 --nosuch generic
+expect_nothing_written "emit with removed --kernel" emit s27 --kernel generic
+expect_nothing_written "emit with extra operand" emit s27 a.bench b.bench
+expect_nothing_written "tgen with unknown flag" tgen s27 --nosuch
+expect_nothing_written "synth with unknown flag" synth s27 --nosuch x
+expect_nothing_written "flow with misspelt flag" flow s27 --seeed 3
+expect_nothing_written "flow with removed --kernel" flow s27 --kernel generic
+expect_nothing_written "flow with extra operand" flow s27 s298
+expect_nothing_written "info with extra operand" info s27 extra
+expect_nothing_written "obs with unknown flag" obs s27 --nosuch
+expect_nothing_written "fsim with unknown flag" fsim s27 --nosuch
+expect_nothing_written "fsim with extra operand" fsim s27 a.seq b.seq
+expect_nothing_written "list with unknown flag" list --nosuch
+expect_nothing_written "unknown flag with artifact flags" \
+  flow s27 --nosuch --metrics-json m.json --trace-json t.json \
+  --provenance-jsonl p.jsonl
+if [ -n "$WBIST_BENCH" ]; then
+  "$WBIST_BENCH" --kernel auto --circuits s27 --out "$WORK/cwd/b.json" \
+    > /dev/null 2>&1
+  got=$?
+  if [ "$got" -ne 2 ] || [ -e "$WORK/cwd/b.json" ]; then
+    echo "FAIL: wbist_bench --kernel auto: exit $got, wanted 2" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+fi
 
 # Runtime failures -> exit 1.
 expect 1 "unknown circuit name" info no-such-circuit

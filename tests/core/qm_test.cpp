@@ -100,6 +100,12 @@ struct QmPropertyCase {
   std::uint64_t seed;
 };
 
+// Without this, gtest prints the case as raw bytes, including the padding
+// after `n_vars`, and the discovered ctest names are not reproducible.
+void PrintTo(const QmPropertyCase& c, std::ostream* os) {
+  *os << "n_vars=" << c.n_vars << " seed=" << c.seed;
+}
+
 class QmProperty : public testing::TestWithParam<QmPropertyCase> {};
 
 TEST_P(QmProperty, CoverIsCorrectAndPrime) {

@@ -1,11 +1,11 @@
 // The four fault-simulation performance levers (cone restriction, activity
 // gating, fault dropping with mid-run repacking, locality packing) are pure
-// optimizations: each one, alone or combined, must leave detection times AND
-// detecting lines bit-identical to the plain walk, on every kernel backend
-// and for any thread count. These tests pin that contract on real circuits
-// with sequences long enough to cross the 64-cycle segment boundary, so the
-// dropping lever's repack path is exercised, plus the trace/option
-// observation-point identity check.
+// optimizations: each one, alone or combined, and for any thread count, must
+// give the detection times of the scalar RefSimulator oracle and the
+// detecting lines of the plain serial walk. These tests pin that contract on
+// real circuits with sequences long enough to cross the 64-cycle segment
+// boundary, so the dropping lever's repack path is exercised, plus the
+// trace/option observation-point identity check.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +15,7 @@
 #include "circuits/registry.h"
 #include "fault/fault_list.h"
 #include "fault/fault_sim.h"
-#include "sim/kernel.h"
+#include "sim/ref_sim.h"
 #include "testutil.h"
 #include "util/metrics.h"
 
@@ -56,12 +56,28 @@ std::vector<LeverCase> lever_cases() {
   return cases;
 }
 
-/// Baseline = every lever off, serial, via the same trace. Everything else
-/// must match it exactly (times, lines, count).
+/// Detection times must match the RefSimulator oracle. The detecting line
+/// is provenance the oracle does not compute, so it must match the
+/// every-lever-off serial run via the same trace.
 void expect_levers_bit_identical(const Netlist& nl, const TestSequence& seq,
                                  std::span<const NodeId> obs = {}) {
   const FaultSet faults = FaultSet::collapsed(nl);
   const std::vector<FaultId> ids = faults.all_ids();
+
+  std::vector<NodeId> observed(nl.primary_outputs().begin(),
+                               nl.primary_outputs().end());
+  observed.insert(observed.end(), obs.begin(), obs.end());
+  const sim::RefSimulator oracle(nl);
+  const sim::RefValueMatrix good = oracle.run(seq);
+  std::vector<std::int32_t> want_time;
+  std::size_t want_count = 0;
+  for (const FaultId f : ids) {
+    const Fault& fault = faults[f];
+    const sim::RefValueMatrix faulty =
+        oracle.run(seq, {fault.node, fault.pin, fault.stuck_at_one});
+    want_time.push_back(sim::ref_detection_time(good, faulty, observed));
+    if (want_time.back() != DetectionResult::kUndetected) ++want_count;
+  }
 
   FaultSimOptions base;
   base.observation_points = obs;
@@ -71,25 +87,21 @@ void expect_levers_bit_identical(const Netlist& nl, const TestSequence& seq,
   base.fault_dropping = false;
   base.locality_packing = false;
 
-  const FaultSimulator ref(nl, faults, sim::find_kernel("generic-w1"));
-  const GoodTrace ref_trace = ref.make_trace(seq, obs);
-  const DetectionResult want = ref.run(ref_trace, ids, base);
+  const FaultSimulator fsim(nl, faults);
+  const GoodTrace trace = fsim.make_trace(seq, obs);
+  const DetectionResult plain = fsim.run(trace, ids, base);
 
-  for (const sim::Kernel& kernel : sim::kernels()) {
-    const FaultSimulator fsim(nl, faults, &kernel);
-    const GoodTrace trace = fsim.make_trace(seq, obs);
-    for (const LeverCase& c : lever_cases()) {
-      for (const unsigned threads : {1u, 3u}) {
-        FaultSimOptions opt = c.options;
-        opt.observation_points = obs;
-        opt.threads = threads;
-        const DetectionResult got = fsim.run(trace, ids, opt);
-        const std::string label = std::string(kernel.name) + "/" + c.name +
-                                  "/threads=" + std::to_string(threads);
-        EXPECT_EQ(got.detection_time, want.detection_time) << label;
-        EXPECT_EQ(got.detecting_line, want.detecting_line) << label;
-        EXPECT_EQ(got.detected_count, want.detected_count) << label;
-      }
+  for (const LeverCase& c : lever_cases()) {
+    for (const unsigned threads : {1u, 3u}) {
+      FaultSimOptions opt = c.options;
+      opt.observation_points = obs;
+      opt.threads = threads;
+      const DetectionResult got = fsim.run(trace, ids, opt);
+      const std::string label =
+          std::string(c.name) + "/threads=" + std::to_string(threads);
+      EXPECT_EQ(got.detection_time, want_time) << label;
+      EXPECT_EQ(got.detecting_line, plain.detecting_line) << label;
+      EXPECT_EQ(got.detected_count, want_count) << label;
     }
   }
 }

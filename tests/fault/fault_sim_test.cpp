@@ -198,6 +198,10 @@ struct RefCase {
   std::uint64_t seed;
 };
 
+// Without this, gtest prints the case as raw bytes, including the address of
+// `name`, and the discovered ctest names change on every build.
+void PrintTo(const RefCase& c, std::ostream* os) { *os << "seed=" << c.seed; }
+
 class FaultSimReference : public testing::TestWithParam<RefCase> {};
 
 TEST_P(FaultSimReference, MatchesScalarReferenceOnS27) {

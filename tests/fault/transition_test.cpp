@@ -171,6 +171,12 @@ struct TransRefCase {
   std::uint64_t seed;
 };
 
+// Without this, gtest prints the case as raw bytes, including the address of
+// `name`, and the discovered ctest names change on every build.
+void PrintTo(const TransRefCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed;
+}
+
 class TransitionReference : public testing::TestWithParam<TransRefCase> {};
 
 TEST_P(TransitionReference, MatchesScalarReferenceOnS27) {

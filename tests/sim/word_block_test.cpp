@@ -60,7 +60,6 @@ void check_ops_match_scalar(std::uint64_t seed) {
 
 TEST(Word3Block, OpsMatchScalarPerWord) {
   check_ops_match_scalar<1>(11);
-  check_ops_match_scalar<2>(22);
   check_ops_match_scalar<4>(33);
 }
 
@@ -81,8 +80,8 @@ TEST(Word3Block, BroadcastSplatAndLaneMapping) {
   }
   util::Rng rng(9);
   const Word3 w = random_word3(rng);
-  const Word3Block<2> s = splat_block<2>(w);
-  for (unsigned l = 0; l < 128; ++l) EXPECT_EQ(lane(s, l), lane(w, l % 64));
+  const Word3Block<4> s = splat_block<4>(w);
+  for (unsigned l = 0; l < 256; ++l) EXPECT_EQ(lane(s, l), lane(w, l % 64));
 }
 
 TEST(Word3Block, ForceTouchesOnlySelectedLanes) {
@@ -125,7 +124,6 @@ void check_eval_gate_matches(std::uint64_t seed) {
 
 TEST(Word3Block, EvalGateMatchesScalarPerWord) {
   check_eval_gate_matches<1>(101);
-  check_eval_gate_matches<2>(202);
   check_eval_gate_matches<4>(404);
 }
 

@@ -2,7 +2,6 @@
 // record BENCH_procedure.json.
 //
 //   wbist_bench [--out <path>] [--circuits a,b,c] [--threads N] [--label S]
-//               [--kernel auto|generic|avx2]
 //               [--trace-json <path>] [--provenance-jsonl <path>]
 //
 // Runs the full weighted-BIST flow (tgen -> compaction -> procedure ->
@@ -214,12 +213,10 @@ int usage() {
       "usage: wbist_bench [--out <path>] [--circuits a,b,c] [--threads N]\n"
       "                   [--label <string>] [--collapse none|equivalence|"
       "dominance]\n"
-      "                   [--kernel auto|generic|avx2]\n"
       "                   [--trace-json <path>] [--provenance-jsonl <path>]\n"
       "runs the full flow per circuit and writes BENCH_procedure.json\n"
       "(schema wbist.bench.procedure/1); default circuits are the fast\n"
       "Table-6 subset, default out is BENCH_procedure.json;\n"
-      "--kernel pins the simulation backend (all are bit-identical),\n"
       "--trace-json records a Chrome/Perfetto trace of the whole run,\n"
       "--provenance-jsonl streams per-fault detection provenance\n",
       stderr);
@@ -251,23 +248,6 @@ int main(int argc, char** argv) {
                  "wbist_bench: --trace-json / --provenance-jsonl need a "
                  "path\n");
     return 2;
-  }
-
-  // Backend override, applied before any simulator is constructed; the
-  // resolved name lands in the record's "kernel" field either way.
-  std::string kernel_spec;
-  if (util::extract_option(args, "--kernel", kernel_spec) ==
-      util::ExtractResult::kMissingValue) {
-    std::fprintf(stderr, "wbist_bench: --kernel needs a value\n");
-    return 2;
-  }
-  if (!kernel_spec.empty()) {
-    try {
-      sim::select_kernel(kernel_spec);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "wbist_bench: %s\n", e.what());
-      return 2;
-    }
   }
 
   for (std::size_t i = 0; i < args.size(); ++i) {

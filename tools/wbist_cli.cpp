@@ -43,6 +43,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -1397,7 +1398,6 @@ int usage() {
   std::fputs(
       "usage: wbist <command> [args] [--metrics-json <path>]\n"
       "             [--trace-json <path>] [--provenance-jsonl <path>]\n"
-      "             [--kernel auto|generic|avx2]\n"
       "  list                         known circuits\n"
       "  info  <circuit>              structure and fault counts\n"
       "  emit  <circuit> [out.bench]  write the netlist\n"
@@ -1453,10 +1453,30 @@ int usage() {
       "--metrics-json dumps the run-metrics registry, --trace-json records a\n"
       "Chrome/Perfetto trace, --provenance-jsonl streams per-fault detection\n"
       "provenance (see EXPERIMENTS.md); all artifact paths resolve against\n"
-      "WBIST_OUT_DIR; --kernel pins the simulation backend (auto = widest\n"
-      "this CPU supports; all are bit-identical)\n",
+      "WBIST_OUT_DIR\n",
       stderr);
   return 2;
+}
+
+/// The positional commands take operands only: a circuit plus at most one
+/// path. A leftover `--...` token (an unknown or misspelt flag) or an extra
+/// operand is a usage error — never a file name, never silently ignored.
+/// Commands that parse their own flags (serve, campaign, ...) pass through.
+bool positional_args_ok(const std::vector<std::string>& args) {
+  if (args.empty()) return true;
+  const std::string& cmd = args[0];
+  std::size_t max_operands;
+  if (cmd == "list")
+    max_operands = 0;
+  else if (cmd == "info" || cmd == "flow" || cmd == "obs")
+    max_operands = 1;
+  else if (cmd == "emit" || cmd == "tgen" || cmd == "fsim" || cmd == "synth")
+    max_operands = 2;
+  else
+    return true;
+  return args.size() - 1 <= max_operands &&
+         std::none_of(args.begin() + 1, args.end(),
+                      [](const std::string& a) { return a.starts_with("--"); });
 }
 
 int dispatch(std::vector<std::string> args) {
@@ -1527,19 +1547,8 @@ int main(int argc, char** argv) {
   if (!g_result_json_path.empty())
     g_result_json_path = wbist::util::out_path(g_result_json_path);
 
-  // Backend override before any simulator is constructed. The resolved
-  // backend (overridden or not) lands in the metrics labels so a
-  // --metrics-json dump always records which kernel produced the run.
-  std::string kernel_spec;
-  if (!take_path_option(args, "--kernel", kernel_spec)) return 2;
-  if (!kernel_spec.empty()) {
-    try {
-      wbist::sim::select_kernel(kernel_spec);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "wbist: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (!positional_args_ok(args)) return usage();
+  // A --metrics-json dump always records which kernel produced the run.
   wbist::util::metrics().set_label("kernel.backend",
                                    wbist::sim::active_kernel().name);
 

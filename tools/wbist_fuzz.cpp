@@ -6,10 +6,9 @@
 // Campaigns (see DESIGN.md §8, "Differential oracles & fuzzing"):
 //   sim-diff   random synthetic circuits x random 0/1/X sequences: the
 //              word-parallel FaultSimulator (run / run(GoodTrace) /
-//              observe_final / observable_lines, serial and threaded) must
-//              agree exactly with the naive scalar RefSimulator oracle, for
-//              every compiled-in evaluation kernel backend (generic widths
-//              and AVX2 when available).
+//              observe_final / observable_lines, serial and threaded, on the
+//              fault list alone and repeated across several fault groups)
+//              must agree exactly with the naive scalar RefSimulator oracle.
 //   parser     mutated `.bench` text must parse-or-throw (never crash), and
 //              parsed text must reach a write/read fixpoint.
 //   pipeline   the full flow on random small circuits must reach 100% fault
@@ -186,67 +185,80 @@ void campaign_sim_diff(FuzzCase& fc) {
     for (const NodeId n : probes) want_final[k].push_back(faulty.back()[n]);
   }
 
-  // Draw all random decisions before the backend loop so a replayed seed
-  // behaves identically regardless of which kernels this build compiled in.
   const unsigned n_threads = 2 + static_cast<unsigned>(rng.below(6));
 
-  // Every compiled-in evaluation kernel must agree with the scalar oracle:
-  // serial, threaded, and trace-based runs, plus line/final observation.
-  for (const sim::Kernel& kernel : sim::kernels()) {
-    const std::string tag = std::string("[") + kernel.name + "]";
-    const fault::FaultSimulator fsim(nl, faults, &kernel);
-
-    fault::FaultSimOptions opts;
-    opts.observation_points = obs;
-    opts.max_time_units = max_time;
-    opts.cone_restriction = lever_cones;
-    opts.activity_gating = lever_gating;
-    opts.fault_dropping = lever_dropping;
-    opts.locality_packing = lever_packing;
-    opts.threads = 1;
-    check_detection(fc, nl, faults, ids, want_det, fsim.run(seq, ids, opts),
-                    tag + "run[threads=1]");
-    opts.threads = n_threads;
-    check_detection(fc, nl, faults, ids, want_det, fsim.run(seq, ids, opts),
-                    tag + "run[threads=" + std::to_string(n_threads) + "]");
-    const fault::GoodTrace trace = fsim.make_trace(seq, obs, max_time);
-    check_detection(fc, nl, faults, ids, want_det, fsim.run(trace, ids, opts),
-                    tag + "run[GoodTrace]");
-
-    // observable_lines and observe_final only see the full window; skip them
-    // when this case exercises max_time_units truncation.
-    if (max_time != length) continue;
-
-    const auto check_lines = [&](const std::vector<std::vector<NodeId>>& got,
-                                 const std::string& label) {
-      for (std::size_t k = 0; k < ids.size(); ++k)
-        if (got[k] != want_lines[k])
-          fc.fail(label + ": fault " + fault_name(nl, faults[ids[k]]) +
-                  " observable lines {" + nodes_to_string(nl, got[k]) +
-                  "}, oracle says {" + nodes_to_string(nl, want_lines[k]) +
-                  "}");
-    };
-    check_lines(fsim.observable_lines(seq, ids, 1),
-                tag + "observable_lines[1]");
-    check_lines(fsim.observable_lines(fsim.make_trace(seq), ids, n_threads),
-                tag + "observable_lines[trace," + std::to_string(n_threads) +
-                    "]");
-
-    const auto check_final = [&](const std::vector<std::vector<Val3>>& got,
-                                 const std::string& label) {
-      for (std::size_t k = 0; k < ids.size(); ++k)
-        for (std::size_t n = 0; n < probes.size(); ++n)
-          if (got[k][n] != want_final[k][n])
-            fc.fail(label + ": fault " + fault_name(nl, faults[ids[k]]) +
-                    " final value at " + nl.node(probes[n]).name + " is '" +
-                    sim::to_char(got[k][n]) + "', oracle says '" +
-                    sim::to_char(want_final[k][n]) + "'");
-    };
-    check_final(fsim.observe_final(seq, ids, probes, 1),
-                tag + "observe_final[1]");
-    check_final(fsim.observe_final(seq, ids, probes, n_threads),
-                tag + "observe_final[" + std::to_string(n_threads) + "]");
+  // At the kernel's 256-lane block every fuzz circuit's fault list fits in
+  // one group. To keep the cross-group and threads-over-groups paths under
+  // the oracle, the list is also simulated repeated until it spans at least
+  // three groups; every copy must match the oracle.
+  constexpr std::size_t kGroupLanes = 64 * sim::kFaultBlockWords;
+  const std::size_t copies = 2 * kGroupLanes / ids.size() + 1;
+  std::vector<fault::FaultId> multi_ids;
+  std::vector<std::int32_t> multi_want_det;
+  for (std::size_t c = 0; c < copies; ++c) {
+    multi_ids.insert(multi_ids.end(), ids.begin(), ids.end());
+    multi_want_det.insert(multi_want_det.end(), want_det.begin(),
+                          want_det.end());
   }
+  const std::string multi = "[x" + std::to_string(copies) + "]";
+
+  // Serial, threaded and trace-based runs, plus line/final observation.
+  const fault::FaultSimulator fsim(nl, faults);
+  fault::FaultSimOptions opts;
+  opts.observation_points = obs;
+  opts.max_time_units = max_time;
+  opts.cone_restriction = lever_cones;
+  opts.activity_gating = lever_gating;
+  opts.fault_dropping = lever_dropping;
+  opts.locality_packing = lever_packing;
+  opts.threads = 1;
+  check_detection(fc, nl, faults, ids, want_det, fsim.run(seq, ids, opts),
+                  "run[threads=1]");
+  check_detection(fc, nl, faults, multi_ids, multi_want_det,
+                  fsim.run(seq, multi_ids, opts), multi + "run[threads=1]");
+  opts.threads = n_threads;
+  check_detection(fc, nl, faults, multi_ids, multi_want_det,
+                  fsim.run(seq, multi_ids, opts),
+                  multi + "run[threads=" + std::to_string(n_threads) + "]");
+  const fault::GoodTrace trace = fsim.make_trace(seq, obs, max_time);
+  check_detection(fc, nl, faults, multi_ids, multi_want_det,
+                  fsim.run(trace, multi_ids, opts), multi + "run[GoodTrace]");
+
+  // observable_lines and observe_final only see the full window; skip them
+  // when this case exercises max_time_units truncation.
+  if (max_time != length) return;
+
+  // Result k belongs to fault ids[k % ids.size()] (the repeated list).
+  const auto check_lines = [&](const std::vector<std::vector<NodeId>>& got,
+                               const std::string& label) {
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      const std::size_t i = k % ids.size();
+      if (got[k] != want_lines[i])
+        fc.fail(label + ": fault " + fault_name(nl, faults[ids[i]]) +
+                " observable lines {" + nodes_to_string(nl, got[k]) +
+                "}, oracle says {" + nodes_to_string(nl, want_lines[i]) + "}");
+    }
+  };
+  check_lines(fsim.observable_lines(seq, ids, 1), "observable_lines[1]");
+  check_lines(fsim.observable_lines(fsim.make_trace(seq), multi_ids, n_threads),
+              multi + "observable_lines[trace," + std::to_string(n_threads) +
+                  "]");
+
+  const auto check_final = [&](const std::vector<std::vector<Val3>>& got,
+                               const std::string& label) {
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      const std::size_t i = k % ids.size();
+      for (std::size_t n = 0; n < probes.size(); ++n)
+        if (got[k][n] != want_final[i][n])
+          fc.fail(label + ": fault " + fault_name(nl, faults[ids[i]]) +
+                  " final value at " + nl.node(probes[n]).name + " is '" +
+                  sim::to_char(got[k][n]) + "', oracle says '" +
+                  sim::to_char(want_final[i][n]) + "'");
+    }
+  };
+  check_final(fsim.observe_final(seq, ids, probes, 1), "observe_final[1]");
+  check_final(fsim.observe_final(seq, multi_ids, probes, n_threads),
+              multi + "observe_final[" + std::to_string(n_threads) + "]");
 }
 
 // ---------------------------------------------------------------------------
