@@ -17,7 +17,8 @@
 
 #include "common/bench_common.h"
 #include "core/assignment.h"
-#include "fault/transition.h"
+#include "fault/fault_list.h"
+#include "fault/fault_sim.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -26,7 +27,7 @@ using namespace wbist;
 
 namespace {
 
-std::size_t count_detected(const fault::TransitionFaultSimulator& sim,
+std::size_t count_detected(const fault::FaultSimulator& sim,
                            std::vector<bool>& covered,
                            const sim::TestSequence& seq) {
   const auto ids = sim.fault_set().all_ids();
@@ -53,8 +54,8 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : names) {
     const bench::CircuitRun run = bench::run_circuit(name);
-    const auto tset = fault::TransitionFaultSet::all(run.netlist);
-    const fault::TransitionFaultSimulator tsim(run.netlist, tset);
+    const auto tset = fault::FaultSet::transitions(run.netlist);
+    const fault::FaultSimulator tsim(run.netlist, tset);
     const std::size_t lg =
         std::min<std::size_t>(run.flow.procedure.sequence_length, 500);
 

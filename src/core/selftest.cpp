@@ -170,7 +170,7 @@ SelfTestHardware assemble_self_test(const Netlist& cut,
   std::vector<fault::Fault> translated;
   translated.reserve(faults.size());
   for (const fault::Fault& f : faults.faults())
-    translated.push_back({cut_map[f.node], f.pin, f.stuck_at_one});
+    translated.push_back({cut_map[f.node], f.pin, f.stuck_at_one, f.model});
   st.cut_faults = fault::FaultSet::from_faults(std::move(translated));
 
   return st;

@@ -286,6 +286,18 @@ FaultSet FaultSet::from_faults(std::vector<Fault> faults) {
   return set;
 }
 
+FaultSet FaultSet::transitions(const Netlist& nl) {
+  if (!nl.finalized())
+    throw std::invalid_argument("fault_list: netlist not finalized");
+  std::vector<Fault> faults;
+  faults.reserve(nl.node_count() * 2);
+  for (NodeId id = 0; id < nl.node_count(); ++id) {
+    faults.push_back({id, kStemPin, false, FaultModel::kSlowToRise});
+    faults.push_back({id, kStemPin, false, FaultModel::kSlowToFall});
+  }
+  return from_faults(std::move(faults));
+}
+
 std::vector<FaultId> FaultSet::all_ids() const {
   std::vector<FaultId> ids(size());
   std::iota(ids.begin(), ids.end(), 0u);

@@ -67,6 +67,10 @@ class FaultSet {
   /// are translated into a composed netlist (see netlist/compose.h).
   static FaultSet from_faults(std::vector<Fault> faults);
 
+  /// The transition fault universe: slow-to-rise then slow-to-fall on every
+  /// stem, node by node (node_count() * 2 faults, class sizes all 1).
+  static FaultSet transitions(const netlist::Netlist& nl);
+
   std::span<const Fault> faults() const { return faults_; }
   std::size_t size() const { return faults_.size(); }
   const Fault& operator[](FaultId id) const { return faults_[id]; }
@@ -90,8 +94,8 @@ class FaultSet {
   /// from_faults(), the explicit list size.
   std::size_t uncollapsed_size() const { return uncollapsed_size_; }
 
-  /// The collapsing level this set was built with (from_faults() reports
-  /// kNone).
+  /// The collapsing level this set was built with (from_faults() and
+  /// transitions() report kNone).
   CollapseMode mode() const { return mode_; }
 
   /// All fault ids, 0..size-1 (convenience for simulator calls).

@@ -45,11 +45,17 @@ struct FaultSimulator::Group {
   /// Lane -> cone root (the fault's node: every divergence from the good
   /// machine that lane can ever produce lies inside cones.cone(root)).
   std::vector<NodeId> roots;
-  /// Activation probes, one per lane: `node` is the net whose good value
-  /// deciding the stuck-at force — when the good machine already carries the
-  /// forced value there (definite binary, equal), the lane's injection is a
-  /// provable no-op this cycle. `pin` is unused.
+  /// Activation probes, one per lane: `node` is the net the injection acts
+  /// on. A stuck-at lane is inert in a cycle where the good machine already
+  /// carries the forced value there (definite binary, equal); a transition
+  /// lane where the good value equals the previous cycle's (X before cycle
+  /// 0). Either way its injection is then a provable no-op. `pin` is unused.
   std::vector<sim::Injection> activation;
+  /// The transition lanes' probes: their bits of the memory column (the
+  /// last state column) hold the lane's value of `node` one cycle back, and
+  /// the clean check compares them with the good machine's like a
+  /// flip-flop column with its D signal.
+  std::vector<sim::Injection> delays;
 
   // Cone-restricted walk data, (re)built by build_cone() from the active
   // lanes' cones. Empty while cone restriction is off.
@@ -61,10 +67,10 @@ struct FaultSimulator::Group {
   std::vector<std::uint32_t> obs_idx;       // in-cone observed-line indices
   std::uint64_t rebuild_lanes = 0;          // live lanes at the last build
 
-  // Cross-segment carry, used only by segmented runs (fault dropping over
-  // sequences longer than one segment): the flip-flop state planes at the
-  // last segment boundary plus the gating flags the next segment resumes
-  // with. saved_state mirrors GroupScratch::state (ff_count x kStride).
+  // Cross-segment carry, used by segmented walks (fault dropping over
+  // sequences longer than one segment, observable_lines' time blocks): the
+  // state columns at the last segment boundary plus the gating flags the
+  // next segment resumes with. saved_state mirrors Scratch::state.
   std::vector<std::uint64_t> saved_state;
   bool clean = true;        // live lanes' state provably equals the good one
   bool state_stale = false; // saved_state predates clean-skipped cycles
@@ -116,7 +122,10 @@ FaultSimulator::FaultSimulator(const Netlist& nl, const FaultSet& faults,
   for (std::uint32_t i = 0; i < ffs.size(); ++i) {
     ff_index_[ffs[i]] = i;
     ff_dnet_.push_back(nl.node(ffs[i]).fanin[0]);
+    all_ffs_.push_back(i);
   }
+  for (std::uint32_t i = 0; i < nl.primary_inputs().size(); ++i)
+    all_pis_.push_back(i);
 }
 
 util::WorkerPool& FaultSimulator::pool(unsigned thread_count) const {
@@ -128,6 +137,23 @@ util::WorkerPool& FaultSimulator::pool(unsigned thread_count) const {
     pool_ = std::make_unique<util::WorkerPool>(thread_count);
   return *pool_;
 }
+
+namespace {
+
+sim::InjectAction inject_action(const Fault& f) {
+  switch (f.model) {
+    case FaultModel::kSlowToRise:
+      return sim::InjectAction::kSlowToRise;
+    case FaultModel::kSlowToFall:
+      return sim::InjectAction::kSlowToFall;
+    case FaultModel::kStuckAt:
+      break;
+  }
+  return f.stuck_at_one ? sim::InjectAction::kStuckAt1
+                        : sim::InjectAction::kStuckAt0;
+}
+
+}  // namespace
 
 std::vector<FaultSimulator::Group> FaultSimulator::pack_groups(
     std::span<const FaultId> ids, bool locality) const {
@@ -178,15 +204,17 @@ std::vector<FaultSimulator::Group> FaultSimulator::pack_groups(
 
     const Fault& f = (*faults_)[ids[pos]];
     const Node& n = nl_->node(f.node);
-    const sim::Injection inj{f.node, f.pin, f.stuck_at_one, word, mask};
+    const sim::Injection inj{f.node, f.pin, inject_action(f), word, mask};
     g.roots.push_back(f.node);
-    // The activation probe watches the net the stuck-at value is forced
-    // onto: the node itself for stem faults, the driving signal for pin
-    // faults (including the D pin of a flip-flop).
+    // The activation probe watches the net the injection acts on: the node
+    // itself for stem faults, the driving signal for pin faults (including
+    // the D pin of a flip-flop).
     const NodeId forced_net =
         f.pin == kStemPin ? f.node
                           : n.fanin[static_cast<std::size_t>(f.pin)];
-    g.activation.push_back({forced_net, 0, f.stuck_at_one, word, mask});
+    g.activation.push_back({forced_net, 0, inj.action, word, mask});
+    if (f.model != FaultModel::kStuckAt)
+      g.delays.push_back({forced_net, 0, inj.action, word, mask});
     if (f.pin == kStemPin) {
       if (n.type == GateType::kInput || n.type == GateType::kDff)
         g.source.push_back(inj);
@@ -212,29 +240,22 @@ inline void splat(std::uint64_t* slot, Word3 w) {
   }
 }
 
-/// Stuck-at injection on one plane word of a slot.
-inline void force_slot(std::uint64_t* slot, unsigned word, std::uint64_t mask,
-                       bool sa1) {
-  if (sa1) {
-    slot[word] |= mask;
-    slot[kWords + word] &= ~mask;
-  } else {
-    slot[word] &= ~mask;
-    slot[kWords + word] |= mask;
-  }
-}
-
 /// Extract machine `lane` of a slot as a scalar value.
 inline Val3 lane_val(const std::uint64_t* slot, unsigned lane) {
   const Word3 w{slot[lane / 64], slot[kWords + lane / 64]};
   return sim::lane(w, lane % 64);
 }
 
-/// Per-thread scratch for one simulated group: node value planes, flip-flop
-/// state planes, fanin staging and the injection chain index. One instance
-/// per worker rank; reused across every group that rank simulates. All
-/// buffers are flat plane arrays with `kStride` words per value slot.
-struct GroupScratch {
+}  // namespace
+
+/// Per-thread scratch for one simulated group: node value planes, state
+/// planes, fanin staging and the injection chain index. One instance per
+/// worker rank; reused across every group that rank simulates. All buffers
+/// are flat plane arrays with `kStride` words per value slot. The state
+/// holds one column per flip-flop followed by the transition memory column
+/// (index ff_count): each transition lane's previous computed value, which
+/// sim::inject() reads and rewrites in place during the walk.
+struct FaultSimulator::Scratch {
   std::vector<std::uint64_t> vals;
   std::vector<std::uint64_t> state;
   std::vector<std::uint64_t> next_state;
@@ -242,20 +263,111 @@ struct GroupScratch {
   std::vector<std::uint64_t> changed;  // node bitset: gap-accumulated diffs
   sim::InjectionIndex inj_index;
 
-  GroupScratch(std::size_t node_count, std::size_t ff_count,
-               std::size_t max_fanin)
+  Scratch(std::size_t node_count, std::size_t ff_count, std::size_t max_fanin)
       : vals(node_count * kStride),
-        state(ff_count * kStride),
-        next_state(ff_count * kStride),
+        state((ff_count + 1) * kStride),
+        next_state((ff_count + 1) * kStride),
         fanin_buf(max_fanin * kStride),
         changed((node_count + 63) / 64),
         inj_index(node_count) {}
 
-  /// All-X state: both planes all-ones.
-  void reset_state() { std::fill(state.begin(), state.end(), ~std::uint64_t{0}); }
+  /// Resume a group: the all-X power-up state (both planes all-ones, memory
+  /// included) at cycle 0, else the columns it saved at its last boundary.
+  void load_state(const Group& g, bool at_start) {
+    if (at_start)
+      std::fill(state.begin(), state.end(), ~std::uint64_t{0});
+    else
+      std::copy(g.saved_state.begin(), g.saved_state.end(), state.begin());
+  }
+
+  void save_state(Group& g) const { g.saved_state = state; }
 };
 
-}  // namespace
+/// The slice of the circuit one cycle step covers: the primary inputs
+/// (indices into primary_inputs()) and flip-flops (indices into
+/// flip_flops()) it loads and latches, and the gates it walks.
+struct FaultSimulator::Walk {
+  std::span<const std::uint32_t> pis;
+  std::span<const std::uint32_t> ffs;
+  std::span<const sim::GateRec> gates;
+};
+
+template <typename Observe>
+bool FaultSimulator::step(const Group& group, const Walk& walk, Scratch& s,
+                          const Word3* pi_row, const Observe& observe) const {
+  const auto pis = nl_->primary_inputs();
+  const auto ffs = nl_->flip_flops();
+  const std::size_t mem_col = ffs.size() * kStride;
+  std::uint64_t* vals = s.vals.data();
+  std::uint64_t* memory = s.state.data() + mem_col;
+  for (const std::uint32_t i : walk.pis) splat(vals + pis[i] * kStride, pi_row[i]);
+  for (const std::uint32_t i : walk.ffs)
+    std::memcpy(vals + ffs[i] * kStride, s.state.data() + i * kStride,
+                kStride * sizeof(std::uint64_t));
+  for (const sim::Injection& inj : group.source)
+    sim::inject<kWords>(vals + inj.node * kStride, inj, memory);
+
+  sim::eval_core<kWords>(walk.gates, flat_fanin_.data(), s.inj_index, vals,
+                         s.fanin_buf.data(), memory);
+  if (!observe(static_cast<const std::uint64_t*>(vals))) return false;
+
+  for (const std::uint32_t i : walk.ffs)
+    std::memcpy(s.next_state.data() + i * kStride, vals + ff_dnet_[i] * kStride,
+                kStride * sizeof(std::uint64_t));
+  for (const sim::Injection& inj : group.latch)
+    sim::inject<kWords>(s.next_state.data() + ff_index_[inj.node] * kStride,
+                        inj, memory);
+  std::copy_n(memory, kStride, s.next_state.data() + mem_col);
+  s.state.swap(s.next_state);
+  return true;
+}
+
+template <typename Simulate>
+void FaultSimulator::for_each_group(const std::vector<Group>& groups,
+                                    unsigned threads,
+                                    const Simulate& simulate) const {
+  const unsigned n_threads = static_cast<unsigned>(std::min<std::size_t>(
+      util::WorkerPool::resolve(threads), groups.size()));
+  util::WorkerPool* wp = n_threads > 1 ? &pool(n_threads) : nullptr;
+  // The grow-only pool may be larger than n_threads; any rank in
+  // [0, wp->size()) can claim indices, so scratch is rank-indexed by it.
+  const unsigned ranks = wp != nullptr ? wp->size() : 1u;
+  std::vector<Scratch> scratch;
+  scratch.reserve(ranks);
+  for (unsigned r = 0; r < ranks; ++r)
+    scratch.emplace_back(nl_->node_count(), nl_->flip_flops().size(),
+                         max_fanin_);
+  const auto run_one = [&](std::size_t gi, Scratch& s) {
+    s.inj_index.attach(groups[gi].gate);
+    simulate(gi, s);
+    s.inj_index.detach();
+  };
+  if (wp == nullptr) {
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) run_one(gi, scratch[0]);
+    return;
+  }
+  // Per-rank busy time, timed at group granularity (one clock pair per
+  // fault group, invisible next to the group's simulation cost).
+  std::vector<std::uint64_t> busy_ns(ranks, 0);
+  const util::Timer parallel_wall;
+  wp->parallel_for(groups.size(), [&](std::size_t gi, unsigned rank) {
+    const util::Timer t;
+    run_one(gi, scratch[rank]);
+    busy_ns[rank] += static_cast<std::uint64_t>(t.seconds() * 1e9);
+  });
+  const double wall = parallel_wall.seconds();
+  util::MetricsRegistry& reg = util::metrics();
+  reg.timer("fault_sim.parallel").add_seconds(wall);
+  for (unsigned r = 0; r < ranks; ++r) {
+    if (busy_ns[r] == 0) continue;
+    reg.timer("fault_sim.worker_busy")
+        .add_seconds(static_cast<double>(busy_ns[r]) * 1e-9);
+    if (wall > 0.0)
+      reg.histogram("fault_sim.rank_busy_pct")
+          .record(static_cast<std::uint64_t>(
+              100.0 * static_cast<double>(busy_ns[r]) * 1e-9 / wall));
+  }
+}
 
 GoodTrace FaultSimulator::make_trace(
     const TestSequence& seq, std::span<const NodeId> observation_points,
@@ -348,12 +460,11 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
   std::vector<Group> groups = pack_groups(ids, options.locality_packing);
   const auto ffs = nl_->flip_flops();
   const std::size_t cwords = cones_->words();
+  const std::size_t mem_col = ffs.size() * kStride;
 
-  // Identity index lists for the unrestricted walk, so the cycle loop below
-  // iterates the same spans whether a cone union or the whole circuit is in
-  // play.
-  std::vector<std::uint32_t> all_ffs(ffs.size());
-  for (std::uint32_t i = 0; i < all_ffs.size(); ++i) all_ffs[i] = i;
+  // Identity index list for the unrestricted scan, so the detection loop
+  // below iterates the same span whether a cone union or the whole circuit
+  // is in play.
   std::vector<std::uint32_t> all_obs(n_obs);
   for (std::uint32_t k = 0; k < all_obs.size(); ++k) all_obs[k] = k;
 
@@ -413,6 +524,10 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
   };
   if (use_cones)
     for (Group& g : groups) build_cone(g);
+  const auto walk_of = [&](const Group& g) {
+    return use_cones ? Walk{g.cone_pis, g.cone_ffs, g.cone_gates}
+                     : Walk{all_pis_, all_ffs_, gates_};
+  };
 
   // Per-cycle changed-node masks: bit n of row u is set when node n's good
   // value differs between cycles u-1 and u. The frontier splat below uses
@@ -433,17 +548,36 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
     }
   }
 
-  std::vector<std::uint32_t> group_detected(groups.size(), 0);
-  // Kernel-cycle accounting, flushed to util::metrics once per call:
-  // kernel cycles = eval_core invocations, fault cycles = active lanes
-  // summed over those invocations (the word-packed work actually done),
-  // gates evaluated = gates handed to eval_core summed over invocations,
-  // cycles skipped = group-cycles the gating lever proved inert.
-  std::vector<std::uint64_t> group_cycles(groups.size(), 0);
-  std::vector<std::uint64_t> group_fault_cycles(groups.size(), 0);
-  std::vector<std::uint64_t> group_gates(groups.size(), 0);
-  std::vector<std::uint64_t> group_skipped(groups.size(), 0);
-  std::vector<std::uint8_t> group_retired(groups.size(), 0);
+  // A live lane is activated at cycle u when its injection is not a no-op
+  // against the good machine's values (see Group::activation): the good
+  // value of its net differs from the forced value, or for a transition
+  // lane from the net's good value the cycle before (X before cycle 0).
+  const auto activated_at = [&](const sim::Injection& a, std::size_t u) {
+    const Word3 gv = trace.full.value(u, a.node);
+    Word3 inert;
+    if (a.action <= sim::InjectAction::kStuckAt1) {
+      const std::uint64_t one =
+          a.action == sim::InjectAction::kStuckAt1 ? ~std::uint64_t{0} : 0;
+      inert = {one, ~one};
+    } else {
+      inert = u == 0 ? broadcast(Val3::kX) : trace.full.value(u - 1, a.node);
+    }
+    return gv.one != inert.one || gv.zero != inert.zero;
+  };
+
+  // Kernel-cycle accounting, one slot per group (written once per dispatch
+  // by the group's simulation), folded into `total` after every dispatch
+  // and flushed to util::metrics once per call: kernel cycles = eval_core invocations, fault cycles = active
+  // lanes summed over those invocations (the word-packed work actually
+  // done), gates = gates handed to eval_core summed over invocations,
+  // skipped = group-cycles the gating lever proved inert, retired = groups
+  // that stopped before the end of the sequence.
+  struct Tally {
+    std::uint64_t detected = 0, cycles = 0, fault_cycles = 0, gates = 0,
+                  skipped = 0, retired = 0;
+  };
+  std::vector<Tally> tally(groups.size());
+  Tally total;
   const util::Timer run_wall;
   util::TraceSpan run_span("fault_sim.run", util::TraceArg("faults", ids.size()),
                            util::TraceArg("groups", groups.size()),
@@ -454,9 +588,8 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
   // driver loop below). Captured by reference in simulate_group.
   std::size_t seg_begin = 0;
   std::size_t seg_end = length;
-  const std::size_t ff_planes = ffs.size() * kStride;
 
-  const auto simulate_group = [&](std::size_t gi, GroupScratch& s) {
+  const auto simulate_group = [&](std::size_t gi, Scratch& s) {
     Group& group = groups[gi];
     if (seg_begin > 0 && use_drop && !group.any_active()) return;
     util::TraceSpan group_span(
@@ -466,23 +599,12 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
                                          use_cones ? group.cone_gates.size()
                                                    : gates_.size())));
     std::uint64_t* vals = s.vals.data();
-    s.inj_index.attach(group.gate);
-    if (seg_begin == 0)
-      s.reset_state();
-    else
-      std::copy_n(group.saved_state.data(), ff_planes, s.state.data());
+    s.load_state(group, seg_begin == 0);
+    Walk walk = walk_of(group);
+    std::span<const std::uint32_t> obs_list =
+        use_cones ? std::span<const std::uint32_t>(group.obs_idx) : all_obs;
 
-    std::span<const std::uint32_t> ff_list = use_cones ? group.cone_ffs : all_ffs;
-    std::span<const std::uint32_t> obs_list = use_cones ? group.obs_idx : all_obs;
-    std::span<const sim::GateRec> walk_gates =
-        use_cones ? std::span<const sim::GateRec>(group.cone_gates)
-                  : std::span<const sim::GateRec>(gates_);
-
-    std::uint32_t local_detected = 0;
-    std::uint64_t local_cycles = 0;
-    std::uint64_t local_fault_cycles = 0;
-    std::uint64_t local_gates = 0;
-    std::uint64_t local_skipped = 0;
+    Tally local;
     // Gating flags resume from the previous segment; at cycle 0 the group
     // defaults apply (the all-X start state equals the good machine's, so
     // every group starts clean: gating may skip from the very first cycle).
@@ -496,7 +618,7 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
     // another group reused the scratch in between.
     constexpr std::size_t kNoWalk = std::numeric_limits<std::size_t>::max();
     std::size_t last_walk = kNoWalk;
-    // Clean-check backoff state (see the use_gating block after the latch).
+    // Clean-check backoff state (see the use_gating block after the step).
     constexpr std::size_t kMaxCleanCheckInterval = 64;
     std::size_t next_clean_check = group.next_clean_check;
     std::size_t clean_check_interval = group.clean_check_interval;
@@ -504,55 +626,45 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
          u < seg_end && (!use_drop || group.any_active()); ++u) {
       if (use_gating && clean) {
         // Clean group: the live lanes' state planes equal the good
-        // machine's. If additionally no live lane's injection is activated
-        // (the good machine already carries every forced value), the whole
-        // cycle — evaluation, detection, latching — is a provable no-op.
+        // machine's. If additionally no live lane's injection is activated,
+        // the whole cycle — evaluation, detection, latching — is a provable
+        // no-op.
         bool activated = false;
         for (const sim::Injection& a : group.activation) {
           if ((a.mask & group.active[a.word]) == 0) continue;
-          const Word3 gv = trace.full.value(u, a.node);
-          const std::uint64_t want_one = a.sa1 ? ~std::uint64_t{0} : 0;
-          if (gv.one != want_one || gv.zero != ~want_one) {
+          if (activated_at(a, u)) {
             activated = true;
             break;
           }
         }
         if (!activated) {
-          ++local_skipped;
+          ++local.skipped;
           state_stale = true;
           continue;
         }
       }
 
-      ++local_cycles;
-      local_fault_cycles += group.active_lanes();
-      local_gates += walk_gates.size();
+      ++local.cycles;
+      local.fault_cycles += group.active_lanes();
+      local.gates += walk.gates.size();
 
       if (state_stale) {
         // Skipped cycles froze the stored state while the good machine kept
         // evolving. The group provably tracked the good machine throughout,
-        // so its present state is the good state this cycle.
-        for (const std::uint32_t i : ff_list)
+        // so its present state is the good state this cycle. The memory
+        // column needs no refresh: a cycle is skipped only while every live
+        // transition lane's line keeps its good value, so the value each
+        // lane remembers is still the one of the cycle before.
+        for (const std::uint32_t i : walk.ffs)
           splat(s.state.data() + i * kStride, trace.full.value(u, ffs[i]));
         state_stale = false;
       }
 
-      // Load sources and apply source (PI / DFF output) stem faults.
-      if (use_cones) {
-        for (const std::uint32_t i : group.cone_pis)
-          splat(vals + pis[i] * kStride, trace.pi_words[u * pis.size() + i]);
-      } else {
-        for (std::size_t i = 0; i < pis.size(); ++i)
-          splat(vals + pis[i] * kStride, trace.pi_words[u * pis.size() + i]);
-      }
-      for (const std::uint32_t i : ff_list)
-        std::memcpy(vals + ffs[i] * kStride, s.state.data() + i * kStride,
-                    kStride * sizeof(std::uint64_t));
       if (use_cones) {
         // Frontier refresh. After the group's first walk the frontier slots
         // still hold the broadcast values of the previously walked cycle, so
         // only nodes the changed masks flag over (last_walk, u] need
-        // re-splatting.
+        // re-splatting. The step's loads never touch frontier slots.
         const std::uint64_t* ch = nullptr;  // null: splat the whole frontier
         if (last_walk != kNoWalk) {
           if (u == last_walk + 1) {
@@ -583,96 +695,96 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
         }
         last_walk = u;
       }
-      for (const sim::Injection& inj : group.source)
-        force_slot(vals + inj.node * kStride, inj.word, inj.mask, inj.sa1);
-
-      sim::eval_core<kWords>(walk_gates, flat_fanin_.data(), s.inj_index,
-                             vals, s.fanin_buf.data());
 
       // Detection at observed lines. Out-of-cone lines can never differ
       // from the good machine on a live lane, so restricting the scan to
-      // the cone's observed lines is bit-identical.
-      std::array<std::uint64_t, kWords> detected{};
-      for (const std::uint32_t k : obs_list) {
-        const Word3 g = trace.good_obs[u * n_obs + k];
-        const std::uint64_t g_binary = g.one ^ g.zero;
-        if (g_binary == 0) continue;  // X in the good machine: undetectable
-        const std::uint64_t* f = vals + observed[k] * kStride;
-        for (unsigned w = 0; w < kWords; ++w)
-          detected[w] |= (f[w] ^ f[kWords + w]) & g_binary & (f[w] ^ g.one);
-      }
-      for (unsigned w = 0; w < kWords; ++w) {
-        std::uint64_t d = detected[w] & group.active[w];
-        while (d != 0) {
-          const unsigned bit = static_cast<unsigned>(std::countr_zero(d));
-          d &= d - 1;
-          group.active[w] &= ~(std::uint64_t{1} << bit);
-          const std::uint32_t ri = group.result_index[w * 64 + bit];
-          result.detection_time[ri] = static_cast<std::int32_t>(u);
-          // Provenance metadata: the first observed line that exposes this
-          // lane this cycle (obs_list ascends, and out-of-cone lines carry
-          // no difference, so the cone scan reports the same line as a full
-          // scan would). Recomputed only on detection (at most once per
-          // fault), so the steady-state cycle loop is untouched.
-          for (const std::uint32_t k : obs_list) {
-            const Word3 g = trace.good_obs[u * n_obs + k];
-            const std::uint64_t g_binary = g.one ^ g.zero;
-            const std::uint64_t* f = vals + observed[k] * kStride;
-            if ((((f[w] ^ f[kWords + w]) & g_binary & (f[w] ^ g.one)) >> bit) &
-                1) {
-              result.detecting_line[ri] = observed[k];
-              break;
+      // the cone's observed lines is bit-identical. A group whose lanes are
+      // all detected stops before latching when dropping is on.
+      const auto detect = [&](const std::uint64_t* vals) {
+        std::array<std::uint64_t, kWords> detected{};
+        for (const std::uint32_t k : obs_list) {
+          const Word3 g = trace.good_obs[u * n_obs + k];
+          const std::uint64_t g_binary = g.one ^ g.zero;
+          if (g_binary == 0) continue;  // X in the good machine: undetectable
+          const std::uint64_t* f = vals + observed[k] * kStride;
+          for (unsigned w = 0; w < kWords; ++w)
+            detected[w] |= (f[w] ^ f[kWords + w]) & g_binary & (f[w] ^ g.one);
+        }
+        for (unsigned w = 0; w < kWords; ++w) {
+          std::uint64_t d = detected[w] & group.active[w];
+          while (d != 0) {
+            const unsigned bit = static_cast<unsigned>(std::countr_zero(d));
+            d &= d - 1;
+            group.active[w] &= ~(std::uint64_t{1} << bit);
+            const std::uint32_t ri = group.result_index[w * 64 + bit];
+            result.detection_time[ri] = static_cast<std::int32_t>(u);
+            // Provenance metadata: the first observed line that exposes
+            // this lane this cycle (obs_list ascends, and out-of-cone lines
+            // carry no difference, so the cone scan reports the same line as
+            // a full scan would). Recomputed only on detection (at most once
+            // per fault), so the steady-state cycle loop is untouched.
+            for (const std::uint32_t k : obs_list) {
+              const Word3 g = trace.good_obs[u * n_obs + k];
+              const std::uint64_t g_binary = g.one ^ g.zero;
+              const std::uint64_t* f = vals + observed[k] * kStride;
+              if ((((f[w] ^ f[kWords + w]) & g_binary & (f[w] ^ g.one)) >>
+                   bit) &
+                  1) {
+                result.detecting_line[ri] = observed[k];
+                break;
+              }
             }
+            ++local.detected;
           }
-          ++local_detected;
         }
+        return !use_drop || group.any_active();
+      };
+      if (!step(group, walk, s, trace.pi_words.data() + u * pis.size(),
+                detect)) {
+        if (u + 1 < length) local.retired = 1;
+        break;
       }
-      if (!group.any_active()) {
-        if (use_drop) {
-          if (u + 1 < length) group_retired[gi] = 1;
-          break;
-        }
-      } else if (use_cones && group.active_lanes() * 2 <= group.rebuild_lanes) {
+
+      if (use_cones && group.any_active() &&
+          group.active_lanes() * 2 <= group.rebuild_lanes) {
         // Enough lanes retired since the last build: shrink the union to
         // the surviving cones. At most log2(lanes) rebuilds per group.
         build_cone(group);
-        ff_list = group.cone_ffs;
+        walk = walk_of(group);
         obs_list = group.obs_idx;
-        walk_gates = group.cone_gates;
         // The shrunken union may expose frontier nodes that were inside the
         // old cone and thus hold this group's faulty values: force a full
         // frontier splat on the next walk.
         last_walk = kNoWalk;
       }
 
-      // Latch flip-flops, applying D-pin faults.
-      for (const std::uint32_t i : ff_list)
-        std::memcpy(s.next_state.data() + i * kStride,
-                    vals + ff_dnet_[i] * kStride,
-                    kStride * sizeof(std::uint64_t));
-      for (const sim::Injection& inj : group.latch)
-        force_slot(s.next_state.data() + ff_index_[inj.node] * kStride,
-                   inj.word, inj.mask, inj.sa1);
-      s.state.swap(s.next_state);
-
       if (use_gating && u >= next_clean_check) {
         // A group is clean again when every live lane's latched state equals
         // the good machine's next state (the good value of each D signal
-        // this cycle). A nearly-clean group makes this scan walk deep into
-        // ff_list every cycle without ever proving cleanliness, so failed
-        // checks back off exponentially (capped); skipping a check only
-        // leaves `clean` conservatively false, which never changes results.
+        // this cycle, and for a transition lane's memory the good value of
+        // its line this cycle). A nearly-clean group makes this scan walk
+        // deep into the flip-flops every cycle without ever proving
+        // cleanliness, so failed checks back off exponentially (capped);
+        // skipping a check only leaves `clean` conservatively false, which
+        // never changes results.
+        const auto differs = [&](const std::uint64_t* st, Word3 gv,
+                                 unsigned w, std::uint64_t mask) {
+          return (((st[w] ^ gv.one) | (st[kWords + w] ^ gv.zero)) & mask) !=
+                 0;
+        };
         clean = true;
-        for (const std::uint32_t i : ff_list) {
+        for (const std::uint32_t i : walk.ffs) {
           const Word3 gv = trace.full.value(u, ff_dnet_[i]);
           const std::uint64_t* st = s.state.data() + i * kStride;
-          for (unsigned w = 0; w < kWords; ++w)
-            if ((((st[w] ^ gv.one) | (st[kWords + w] ^ gv.zero)) &
-                 group.active[w]) != 0) {
-              clean = false;
-              break;
-            }
+          for (unsigned w = 0; w < kWords && clean; ++w)
+            clean = !differs(st, gv, w, group.active[w]);
           if (!clean) break;
+        }
+        for (const sim::Injection& d : group.delays) {
+          if (!clean) break;
+          clean = !differs(s.state.data() + mem_col,
+                           trace.full.value(u, d.node), d.word,
+                           d.mask & group.active[d.word]);
         }
         if (clean) {
           clean_check_interval = 1;
@@ -688,86 +800,29 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
     group.state_stale = state_stale;
     group.next_clean_check = next_clean_check;
     group.clean_check_interval = clean_check_interval;
-    if (seg_end < length) {
-      group.saved_state.resize(ff_planes);
-      std::copy_n(s.state.data(), ff_planes, group.saved_state.data());
-    }
-    group_detected[gi] += local_detected;
-    group_cycles[gi] += local_cycles;
-    group_fault_cycles[gi] += local_fault_cycles;
-    group_gates[gi] += local_gates;
-    group_skipped[gi] += local_skipped;
-    s.inj_index.detach();
+    if (seg_end < length) s.save_state(group);
+    tally[gi] = local;
   };
 
-  const unsigned n_threads = static_cast<unsigned>(std::min<std::size_t>(
-      util::WorkerPool::resolve(options.threads), groups.size()));
-
-  // One dispatch of every current group over [seg_begin, seg_end).
-  const auto dispatch_segment = [&]() {
-    if (n_threads <= 1) {
-      GroupScratch scratch(nl_->node_count(), ffs.size(), max_fanin_);
-      for (std::size_t gi = 0; gi < groups.size(); ++gi)
-        simulate_group(gi, scratch);
-      return;
+  // Fold every group's tally of the last dispatch into the run totals.
+  const auto fold_tallies = [&]() {
+    for (Tally& t : tally) {
+      total.detected += t.detected;
+      total.cycles += t.cycles;
+      total.fault_cycles += t.fault_cycles;
+      total.gates += t.gates;
+      total.skipped += t.skipped;
+      total.retired += t.retired;
+      t = Tally{};
     }
-    util::WorkerPool& wp = pool(n_threads);
-    // The grow-only pool may be larger than n_threads; any rank in
-    // [0, wp.size()) can claim indices, so scratch is rank-indexed by it.
-    std::vector<GroupScratch> scratch;
-    scratch.reserve(wp.size());
-    for (unsigned r = 0; r < wp.size(); ++r)
-      scratch.emplace_back(nl_->node_count(), ffs.size(), max_fanin_);
-    // Per-rank busy time, timed at group granularity (one clock pair per
-    // fault group, invisible next to the group's simulation cost).
-    std::vector<std::uint64_t> busy_ns(wp.size(), 0);
-    const util::Timer parallel_wall;
-    wp.parallel_for(groups.size(), [&](std::size_t gi, unsigned rank) {
-      const util::Timer t;
-      simulate_group(gi, scratch[rank]);
-      busy_ns[rank] += static_cast<std::uint64_t>(t.seconds() * 1e9);
-    });
-    const double wall = parallel_wall.seconds();
-    util::MetricsRegistry& reg = util::metrics();
-    reg.timer("fault_sim.parallel").add_seconds(wall);
-    for (unsigned r = 0; r < wp.size(); ++r) {
-      if (busy_ns[r] == 0) continue;
-      reg.timer("fault_sim.worker_busy")
-          .add_seconds(static_cast<double>(busy_ns[r]) * 1e-9);
-      if (wall > 0.0)
-        reg.histogram("fault_sim.rank_busy_pct")
-            .record(static_cast<std::uint64_t>(
-                100.0 * static_cast<double>(busy_ns[r]) * 1e-9 / wall));
-    }
-  };
-
-  // Run totals, folded from the per-group arrays whenever the group list is
-  // about to change size (repack) and once at the end.
-  std::uint64_t kernel_cycles = 0, fault_cycles = 0;
-  std::uint64_t gates_evaluated = 0, cycles_skipped = 0, retired = 0;
-  std::uint64_t repacks = 0;
-  const auto fold_groups = [&]() {
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      result.detected_count += group_detected[gi];
-      kernel_cycles += group_cycles[gi];
-      fault_cycles += group_fault_cycles[gi];
-      gates_evaluated += group_gates[gi];
-      cycles_skipped += group_skipped[gi];
-      retired += group_retired[gi];
-    }
-    group_detected.assign(groups.size(), 0);
-    group_cycles.assign(groups.size(), 0);
-    group_fault_cycles.assign(groups.size(), 0);
-    group_gates.assign(groups.size(), 0);
-    group_skipped.assign(groups.size(), 0);
-    group_retired.assign(groups.size(), 0);
   };
 
   // Repack every surviving lane into fresh (locality-packed) groups,
-  // transplanting each lane's flip-flop state column from its old group.
-  // Detection so far fixes which lanes survive, so the new grouping — like
-  // any packing permutation of independent lanes — is bit-identical; fewer,
-  // denser groups mean fewer kernel walks for the remaining cycles.
+  // transplanting each lane's state columns — flip-flops and transition
+  // memory — from its old group. Detection so far fixes which lanes
+  // survive, so the new grouping — like any packing permutation of
+  // independent lanes — is bit-identical; fewer, denser groups mean fewer
+  // kernel walks for the remaining cycles.
   const auto repack_survivors = [&]() {
     std::vector<FaultId> sub;
     std::vector<std::uint32_t> orig;
@@ -783,43 +838,50 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
         src_group[groups[gi].result_index[l]] = gi;
         src_lane[groups[gi].result_index[l]] = l;
       }
+    // Copy lane l's bit of column `col` from its old group's saved state.
+    const auto transplant = [&](Group& g, std::size_t col, std::uint32_t l) {
+      const std::uint32_t p = g.result_index[l];
+      const std::uint32_t sl = src_lane[p];
+      const std::uint64_t* src =
+          groups[src_group[p]].saved_state.data() + col * kStride;
+      std::uint64_t* dst = g.saved_state.data() + col * kStride;
+      const std::uint64_t one = (src[sl / 64] >> (sl % 64)) & 1;
+      const std::uint64_t zero = (src[kWords + sl / 64] >> (sl % 64)) & 1;
+      const std::uint64_t bit = std::uint64_t{1} << (l % 64);
+      dst[l / 64] = (dst[l / 64] & ~bit) | (one << (l % 64));
+      dst[kWords + l / 64] = (dst[kWords + l / 64] & ~bit) | (zero << (l % 64));
+    };
     std::vector<Group> next = pack_groups(sub, options.locality_packing);
     for (Group& g : next) {
       for (std::uint32_t& ri : g.result_index) ri = orig[ri];
       if (use_cones) build_cone(g);
-      // Transplant state columns. A lane's true faulty value at any
-      // flip-flop its old group maintained is exactly the old group's
-      // stored bit; at a flip-flop the old group did not maintain (outside
-      // its cone union, hence outside the lane's own cone) the lane
-      // provably tracks the good machine, as it does when the old group's
-      // stored state predates clean-skipped cycles (state_stale). Both
-      // fall back to the good state of the boundary cycle.
-      g.saved_state.assign(ff_planes, ~std::uint64_t{0});
-      const std::span<const std::uint32_t> cover =
-          use_cones ? std::span<const std::uint32_t>(g.cone_ffs)
-                    : std::span<const std::uint32_t>(all_ffs);
-      for (const std::uint32_t i : cover) {
-        std::uint64_t* dst = g.saved_state.data() + i * kStride;
+      // A lane's true faulty value at any flip-flop its old group
+      // maintained is exactly the old group's stored bit; at a flip-flop
+      // the old group did not maintain (outside its cone union, hence
+      // outside the lane's own cone) the lane provably tracks the good
+      // machine, as it does when the old group's stored state predates
+      // clean-skipped cycles (state_stale). Both fall back to the good
+      // state of the boundary cycle. A transition lane's memory bit is
+      // always current (see the state_stale refresh) and moves as is.
+      g.saved_state.assign(mem_col + kStride, ~std::uint64_t{0});
+      for (const std::uint32_t i : walk_of(g).ffs) {
         if (has_full)
-          splat(dst, trace.full.value(seg_end, ffs[i]));
+          splat(g.saved_state.data() + i * kStride,
+                trace.full.value(seg_end, ffs[i]));
         const std::uint64_t ff_word = ffs[i] / 64;
         const std::uint64_t ff_bit = ffs[i] % 64;
         for (std::uint32_t l = 0; l < g.count; ++l) {
-          const std::uint32_t p = g.result_index[l];
-          const Group& old = groups[src_group[p]];
+          const Group& old = groups[src_group[g.result_index[l]]];
           if (old.state_stale) continue;
           if (use_cones && ((old.cone[ff_word] >> ff_bit) & 1) == 0)
             continue;
-          const std::uint32_t sl = src_lane[p];
-          const std::uint64_t* src = old.saved_state.data() + i * kStride;
-          const std::uint64_t one = (src[sl / 64] >> (sl % 64)) & 1;
-          const std::uint64_t zero = (src[kWords + sl / 64] >> (sl % 64)) & 1;
-          const std::uint64_t bit = std::uint64_t{1} << (l % 64);
-          dst[l / 64] = (dst[l / 64] & ~bit) | (one << (l % 64));
-          dst[kWords + l / 64] =
-              (dst[kWords + l / 64] & ~bit) | (zero << (l % 64));
+          transplant(g, i, l);
         }
       }
+      for (const sim::Injection& d : g.delays)
+        transplant(g, ffs.size(),
+                   d.word * 64u +
+                       static_cast<std::uint32_t>(std::countr_zero(d.mask)));
       // The new group resumes clean only if every contributing old group
       // was provably clean (conservatively false otherwise — never affects
       // results, only skip opportunities).
@@ -840,32 +902,28 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
   const std::size_t kSegmentCycles = 64;
   const bool segmented = use_drop && length > kSegmentCycles;
   std::size_t live_at_pack = ids.size();
+  std::uint64_t repacks = 0;
   for (std::size_t from = 0; from < length; from = seg_end) {
     seg_begin = from;
     seg_end = segmented ? std::min(from + kSegmentCycles, length) : length;
-    dispatch_segment();
+    for_each_group(groups, options.threads, simulate_group);
+    fold_tallies();
     if (seg_end >= length) break;
     std::size_t live = 0;
     for (std::uint32_t p = 0; p < ids.size(); ++p)
       live += result.detection_time[p] == DetectionResult::kUndetected;
     if (live == 0) break;
     if (live * 2 <= live_at_pack) {
-      fold_groups();
       util::TraceSpan repack_span("fault_sim.repack",
                                   util::TraceArg("live", live),
                                   util::TraceArg("cycle", seg_end));
       repack_survivors();
-      group_detected.assign(groups.size(), 0);
-      group_cycles.assign(groups.size(), 0);
-      group_fault_cycles.assign(groups.size(), 0);
-      group_gates.assign(groups.size(), 0);
-      group_skipped.assign(groups.size(), 0);
-      group_retired.assign(groups.size(), 0);
+      tally.assign(groups.size(), Tally{});
       live_at_pack = live;
       ++repacks;
     }
   }
-  fold_groups();
+  result.detected_count = total.detected;
 
   util::MetricsRegistry& reg = util::metrics();
   reg.timer("fault_sim.run").add_seconds(run_wall.seconds());
@@ -873,11 +931,11 @@ DetectionResult FaultSimulator::run(const GoodTrace& trace,
   reg.counter("fault_sim.groups").add(groups.size());
   reg.counter("fault_sim.faults_simulated").add(ids.size());
   reg.counter("fault_sim.faults_detected").add(result.detected_count);
-  reg.counter("fault_sim.kernel_cycles").add(kernel_cycles);
-  reg.counter("fault_sim.fault_cycles").add(fault_cycles);
-  reg.counter("fault_sim.gates_evaluated").add(gates_evaluated);
-  reg.counter("fault_sim.cycles_skipped").add(cycles_skipped);
-  reg.counter("fault_sim.groups_retired_early").add(retired);
+  reg.counter("fault_sim.kernel_cycles").add(total.cycles);
+  reg.counter("fault_sim.fault_cycles").add(total.fault_cycles);
+  reg.counter("fault_sim.gates_evaluated").add(total.gates);
+  reg.counter("fault_sim.cycles_skipped").add(total.skipped);
+  reg.counter("fault_sim.groups_retired_early").add(total.retired);
   reg.counter("fault_sim.repacks").add(repacks);
   return result;
 }
@@ -899,7 +957,6 @@ std::vector<std::vector<Val3>> FaultSimulator::observe_final(
     throw std::invalid_argument("fault_sim: sequence width != #inputs");
 
   std::vector<Group> groups = pack_groups(ids, false);
-  const auto ffs = nl_->flip_flops();
   util::TraceSpan span("fault_sim.observe_final",
                        util::TraceArg("faults", ids.size()),
                        util::TraceArg("cycles", seq.length()));
@@ -909,61 +966,23 @@ std::vector<std::vector<Val3>> FaultSimulator::observe_final(
     for (std::size_t i = 0; i < pis.size(); ++i)
       pi_words[u * pis.size() + i] = broadcast(seq.at(u, i));
 
-  const auto simulate_group = [&](std::size_t gi, GroupScratch& s) {
-    Group& group = groups[gi];
-    std::uint64_t* vals = s.vals.data();
-    s.inj_index.attach(group.gate);
-    s.reset_state();
-
+  const Walk walk{all_pis_, all_ffs_, gates_};
+  for_each_group(groups, threads, [&](std::size_t gi, Scratch& s) {
+    const Group& group = groups[gi];
+    s.load_state(group, true);
     for (std::size_t u = 0; u < seq.length(); ++u) {
-      for (std::size_t i = 0; i < pis.size(); ++i)
-        splat(vals + pis[i] * kStride, pi_words[u * pis.size() + i]);
-      for (std::size_t i = 0; i < ffs.size(); ++i)
-        std::memcpy(vals + ffs[i] * kStride, s.state.data() + i * kStride,
-                    kStride * sizeof(std::uint64_t));
-      for (const sim::Injection& inj : group.source)
-        force_slot(vals + inj.node * kStride, inj.word, inj.mask, inj.sa1);
-
-      sim::eval_core<kWords>(gates_, flat_fanin_.data(), s.inj_index,
-                             vals, s.fanin_buf.data());
-
-      if (u + 1 == seq.length()) {
-        for (unsigned lane = 0; lane < group.count; ++lane)
-          for (std::size_t n = 0; n < nodes.size(); ++n)
-            result[group.result_index[lane]][n] =
-                lane_val(vals + nodes[n] * kStride, lane);
-        break;
-      }
-
-      for (std::size_t i = 0; i < ffs.size(); ++i)
-        std::memcpy(s.next_state.data() + i * kStride,
-                    vals + nl_->node(ffs[i]).fanin[0] * kStride,
-                    kStride * sizeof(std::uint64_t));
-      for (const sim::Injection& inj : group.latch)
-        force_slot(s.next_state.data() + ff_index_[inj.node] * kStride,
-                   inj.word, inj.mask, inj.sa1);
-      s.state.swap(s.next_state);
+      const bool last = u + 1 == seq.length();
+      step(group, walk, s, pi_words.data() + u * pis.size(),
+           [&](const std::uint64_t* vals) {
+             if (last)
+               for (unsigned lane = 0; lane < group.count; ++lane)
+                 for (std::size_t n = 0; n < nodes.size(); ++n)
+                   result[group.result_index[lane]][n] =
+                       lane_val(vals + nodes[n] * kStride, lane);
+             return !last;
+           });
     }
-
-    s.inj_index.detach();
-  };
-
-  const unsigned n_threads = static_cast<unsigned>(std::min<std::size_t>(
-      util::WorkerPool::resolve(threads), groups.size()));
-  if (n_threads <= 1) {
-    GroupScratch scratch(nl_->node_count(), ffs.size(), max_fanin_);
-    for (std::size_t gi = 0; gi < groups.size(); ++gi)
-      simulate_group(gi, scratch);
-  } else {
-    util::WorkerPool& wp = pool(n_threads);
-    std::vector<GroupScratch> scratch;
-    scratch.reserve(wp.size());
-    for (unsigned r = 0; r < wp.size(); ++r)
-      scratch.emplace_back(nl_->node_count(), ffs.size(), max_fanin_);
-    wp.parallel_for(
-        groups.size(),
-        [&](std::size_t gi, unsigned rank) { simulate_group(gi, scratch[rank]); });
-  }
+  });
   util::metrics().counter("fault_sim.final_obs_runs").add(1);
   util::metrics().counter("fault_sim.kernel_cycles")
       .add(static_cast<std::uint64_t>(groups.size()) * seq.length());
@@ -1009,13 +1028,6 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
   const auto pis = nl_->primary_inputs();
   const std::size_t node_count = nl_->node_count();
   std::vector<Group> groups = pack_groups(ids, false);
-  const auto ffs = nl_->flip_flops();
-
-  // Per-group persistent faulty state: time is the outer loop here because
-  // the good machine's full value vector is needed each cycle.
-  std::vector<std::vector<std::uint64_t>> group_state(
-      groups.size(),
-      std::vector<std::uint64_t>(ffs.size() * kStride, ~std::uint64_t{0}));
 
   // Per-fault bitset of already-reported lines, one word-aligned stride per
   // fault so concurrent groups never share a word (O(faults x nodes) *bits*,
@@ -1025,22 +1037,15 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
 
   // The time loop is chunked: the good machine advances one block at a time
   // (recording its full value vector per cycle), then every group catches up
-  // over the block in parallel. Blocks amortize the per-dispatch pool cost
-  // while keeping the good-value buffer small (kBlock x node_count words).
+  // over the block, carrying its state columns across blocks like a
+  // segmented run. Blocks amortize the per-dispatch pool cost while keeping
+  // the good-value buffer small (kBlock x node_count words).
   constexpr std::size_t kBlock = 32;
   std::vector<Word3> good_block(std::min(kBlock, trace.length) * node_count);
 
   sim::GoodSimulator good(*nl_);
   std::vector<Val3> row(pis.size());
-
-  const unsigned n_threads = static_cast<unsigned>(std::min<std::size_t>(
-      util::WorkerPool::resolve(threads), groups.size()));
-  util::WorkerPool* wp = n_threads > 1 ? &pool(n_threads) : nullptr;
-  const unsigned scratch_count = wp ? wp->size() : 1u;
-  std::vector<GroupScratch> scratch;
-  scratch.reserve(scratch_count);
-  for (unsigned r = 0; r < scratch_count; ++r)
-    scratch.emplace_back(node_count, ffs.size(), max_fanin_);
+  const Walk walk{all_pis_, all_ffs_, gates_};
 
   for (std::size_t u0 = 0; u0 < trace.length; u0 += kBlock) {
     const std::size_t block_len = std::min(kBlock, trace.length - u0);
@@ -1053,74 +1058,45 @@ std::vector<std::vector<NodeId>> FaultSimulator::observable_lines_impl(
       std::copy(raw.begin(), raw.end(), good_block.begin() + b * node_count);
     }
 
-    const auto simulate_group = [&](std::size_t gi, GroupScratch& s) {
+    for_each_group(groups, threads, [&](std::size_t gi, Scratch& s) {
       Group& group = groups[gi];
-      std::vector<std::uint64_t>& state = group_state[gi];
-      std::uint64_t* vals = s.vals.data();
-      s.inj_index.attach(group.gate);
-
+      s.load_state(group, u0 == 0);
       for (std::size_t b = 0; b < block_len; ++b) {
-        const std::size_t u = u0 + b;
-        for (std::size_t i = 0; i < pis.size(); ++i)
-          splat(vals + pis[i] * kStride, trace.pi_words[u * pis.size() + i]);
-        for (std::size_t i = 0; i < ffs.size(); ++i)
-          std::memcpy(vals + ffs[i] * kStride, state.data() + i * kStride,
-                      kStride * sizeof(std::uint64_t));
-        for (const sim::Injection& inj : group.source)
-          force_slot(vals + inj.node * kStride, inj.word, inj.mask, inj.sa1);
-
-        sim::eval_core<kWords>(gates_, flat_fanin_.data(), s.inj_index,
-                               vals, s.fanin_buf.data());
-
         // Record every line where some lane's faulty value provably differs
         // from the good value.
         const Word3* good_vals = good_block.data() + b * node_count;
-        for (NodeId node = 0; node < node_count; ++node) {
-          const Word3 gv = good_vals[node];
-          const std::uint64_t g_binary = gv.one ^ gv.zero;
-          const std::uint64_t* fv = vals + node * kStride;
-          for (unsigned w = 0; w < kWords; ++w) {
-            std::uint64_t diff = (fv[w] ^ fv[kWords + w]) & g_binary &
-                                 (fv[w] ^ gv.one);
-            diff &= group.active[w];
-            while (diff != 0) {
-              const unsigned bit =
-                  static_cast<unsigned>(std::countr_zero(diff));
-              diff &= diff - 1;
-              const std::uint32_t ri = group.result_index[w * 64 + bit];
-              std::uint64_t& word =
-                  seen[static_cast<std::size_t>(ri) * words_per_fault +
-                       node / 64];
-              const std::uint64_t line_bit = std::uint64_t{1} << (node % 64);
-              if ((word & line_bit) == 0) {
-                word |= line_bit;
-                result[ri].push_back(node);
-              }
-            }
-          }
-        }
-
-        for (std::size_t i = 0; i < ffs.size(); ++i)
-          std::memcpy(s.next_state.data() + i * kStride,
-                      vals + nl_->node(ffs[i]).fanin[0] * kStride,
-                      kStride * sizeof(std::uint64_t));
-        for (const sim::Injection& inj : group.latch)
-          force_slot(s.next_state.data() + ff_index_[inj.node] * kStride,
-                   inj.word, inj.mask, inj.sa1);
-        state.swap(s.next_state);
+        step(group, walk, s, trace.pi_words.data() + (u0 + b) * pis.size(),
+             [&](const std::uint64_t* vals) {
+               for (NodeId node = 0; node < node_count; ++node) {
+                 const Word3 gv = good_vals[node];
+                 const std::uint64_t g_binary = gv.one ^ gv.zero;
+                 const std::uint64_t* fv = vals + node * kStride;
+                 for (unsigned w = 0; w < kWords; ++w) {
+                   std::uint64_t diff = (fv[w] ^ fv[kWords + w]) & g_binary &
+                                        (fv[w] ^ gv.one);
+                   diff &= group.active[w];
+                   while (diff != 0) {
+                     const unsigned bit =
+                         static_cast<unsigned>(std::countr_zero(diff));
+                     diff &= diff - 1;
+                     const std::uint32_t ri = group.result_index[w * 64 + bit];
+                     std::uint64_t& word =
+                         seen[static_cast<std::size_t>(ri) * words_per_fault +
+                              node / 64];
+                     const std::uint64_t line_bit = std::uint64_t{1}
+                                                    << (node % 64);
+                     if ((word & line_bit) == 0) {
+                       word |= line_bit;
+                       result[ri].push_back(node);
+                     }
+                   }
+                 }
+               }
+               return true;
+             });
       }
-
-      s.inj_index.detach();
-    };
-
-    if (wp == nullptr) {
-      for (std::size_t gi = 0; gi < groups.size(); ++gi)
-        simulate_group(gi, scratch[0]);
-    } else {
-      wp->parallel_for(groups.size(), [&](std::size_t gi, unsigned rank) {
-        simulate_group(gi, scratch[rank]);
-      });
-    }
+      s.save_state(group);
+    });
   }
   good_sim_runs_.fetch_add(1, std::memory_order_relaxed);
 

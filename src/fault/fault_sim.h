@@ -1,13 +1,17 @@
-// Parallel-fault sequential stuck-at fault simulation (PROOFS-style).
+// Parallel-fault sequential fault simulation (PROOFS-style) of stuck-at and
+// transition faults.
 //
 // Faults are packed 64 per machine word; each group of faulty machines keeps
 // its own flip-flop state planes and is simulated cycle by cycle against the
-// same input sequence as the good machine, with stuck-at values injected via
-// per-lane masks at the fault sites. A fault is *detected* at time u when a
-// primary output (or a designated observation point) carries a definite
-// binary value in both the good and the faulty machine and the values differ
-// — the standard pessimistic three-valued criterion for circuits that start
-// in the all-X state.
+// same input sequence as the good machine, with each fault's model applied
+// as injection data via per-lane masks at the fault sites (sim::Injection):
+// a stuck-at value is forced, a slow-to-rise/fall stem is delayed by one
+// cycle against a per-lane memory of its previous computed value, which the
+// group carries as one more state column next to its flip-flops. A fault is
+// *detected* at time u when a primary output (or a designated observation
+// point) carries a definite binary value in both the good and the faulty
+// machine and the values differ — the standard pessimistic three-valued
+// criterion for circuits that start in the all-X state.
 //
 // Three orthogonal performance levers on top of the group packing:
 //
@@ -216,6 +220,8 @@ class FaultSimulator {
 
  private:
   struct Group;
+  struct Scratch;
+  struct Walk;
 
   /// Delegation target: `cones` owned when non-null (the public borrowing
   /// constructor patches `cones_` afterwards).
@@ -228,6 +234,22 @@ class FaultSimulator {
   /// Lazily created worker pool, grown (never shrunk) to the largest size
   /// requested so far; jobs smaller than the pool leave extra ranks idle.
   util::WorkerPool& pool(unsigned thread_count) const;
+
+  /// The one group dispatcher: runs `simulate(gi, scratch)` for every group,
+  /// serially or on the worker pool, handing each worker rank its own
+  /// scratch with the group's gate injections attached to its index.
+  template <typename Simulate>
+  void for_each_group(const std::vector<Group>& groups, unsigned threads,
+                      const Simulate& simulate) const;
+
+  /// The one cycle step of a group: load the inputs and state columns
+  /// `walk` covers, apply the source injections, evaluate the walk's gates,
+  /// hand the node values to `observe`, then (unless it returns false)
+  /// latch the flip-flops with D-pin injections and carry the transition
+  /// memory column.
+  template <typename Observe>
+  bool step(const Group& group, const Walk& walk, Scratch& s,
+            const sim::Word3* pi_row, const Observe& observe) const;
 
   std::vector<std::vector<netlist::NodeId>> observable_lines_impl(
       const GoodTrace& trace, std::span<const FaultId> ids,
@@ -244,6 +266,8 @@ class FaultSimulator {
   std::vector<netlist::NodeId> flat_fanin_;
   std::vector<std::uint32_t> ff_index_;  // NodeId -> index in flip_flops()
   std::vector<netlist::NodeId> ff_dnet_;  // flip-flop index -> D signal
+  std::vector<std::uint32_t> all_pis_;   // identity index lists: the
+  std::vector<std::uint32_t> all_ffs_;   // unrestricted walk's load sets
   std::size_t max_fanin_ = 1;  // fanin-staging width for injected gates
 
   mutable std::atomic<std::size_t> good_sim_runs_{0};

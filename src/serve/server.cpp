@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -651,9 +652,15 @@ std::string Server::handle_request(const util::JsonValue& req,
       const std::string seq_text = req.get_string("sequence");
       if (seq_text.empty()) throw UsageError("fault-sim needs \"sequence\"");
       const auto seq = sim::read_sequence(seq_text);
-      const auto threads =
-          static_cast<unsigned>(req.get_int("threads", 0));
-      const auto r = core::run_fault_sim_job(*cc, seq, threads, deadline, op);
+      // 0 = one worker per core; more than the host's cores would only
+      // multiply OS threads per request.
+      const std::int64_t threads = req.get_int("threads", 0);
+      const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+      if (threads < 0 || threads > cores)
+        throw UsageError("fault-sim \"threads\" must be in [0, " +
+                         std::to_string(cores) + "]");
+      const auto r = core::run_fault_sim_job(
+          *cc, seq, static_cast<unsigned>(threads), deadline, op);
       output = r.output;
       rb.field_int("detected", static_cast<long long>(r.detected));
       rb.field_int("total", static_cast<long long>(r.total));

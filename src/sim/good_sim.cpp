@@ -65,7 +65,7 @@ void GoodSimulator::step(std::span<const Val3> pi_values) {
 
   eval_core<1>(gates_, flat_fanin_.data(), inj_index_,
                reinterpret_cast<std::uint64_t*>(values_.data()),
-               reinterpret_cast<std::uint64_t*>(fanin_buf_.data()));
+               reinterpret_cast<std::uint64_t*>(fanin_buf_.data()), nullptr);
 
   for (std::size_t i = 0; i < ffs.size(); ++i)
     next_state_[i] = values_[nl_->node(ffs[i]).fanin[0]];

@@ -37,18 +37,61 @@ struct GateRec {
   std::uint32_t fanin_count;
 };
 
-/// Stem/branch stuck-at injection applied inside the kernel walk. `pin` is
-/// kInjectStem for a fault on the node's output, otherwise the fanin pin
-/// index; `word`/`mask` select the faulty lanes within the block.
+/// Fault injection applied inside the kernel walk. `pin` is kInjectStem for
+/// a fault on the node's output, otherwise the fanin pin index; `word`/`mask`
+/// select the faulty lanes within the block; `action` is the fault model.
 inline constexpr std::int16_t kInjectStem = -1;
+
+/// What an injection does to its lanes. Stuck-at forces a constant; the
+/// transition (gross-delay) actions make a stem complete a rising (falling)
+/// edge one cycle late: with c the value the line computes this cycle and p
+/// the value it computed the cycle before, slow-to-rise drives AND(c, p) and
+/// slow-to-fall drives OR(c, p). Both identities hold in three-valued logic,
+/// so the all-X start (p = X) gets the right pessimism for free.
+enum class InjectAction : std::uint8_t {
+  kStuckAt0,
+  kStuckAt1,
+  kSlowToRise,
+  kSlowToFall,
+};
 
 struct Injection {
   netlist::NodeId node;
   std::int16_t pin;
-  bool sa1;
+  InjectAction action;
   std::uint16_t word;  ///< plane word within the block (lane / 64)
   std::uint64_t mask;  ///< lanes within that word
 };
+
+/// Apply `inj` to the lanes it selects in one 2N-word value slot. Transition
+/// actions read each lane's previous computed value from `memory` (a 2N-word
+/// slot, one bit per lane: every lane carries at most one fault) and record
+/// this cycle's computed value there; stuck-at actions never touch it.
+template <unsigned N>
+inline void inject(std::uint64_t* slot, const Injection& inj,
+                   std::uint64_t* memory) {
+  const unsigned w = inj.word;
+  const std::uint64_t m = inj.mask;
+  if (inj.action == InjectAction::kStuckAt0) {
+    slot[w] &= ~m;
+    slot[N + w] |= m;
+    return;
+  }
+  if (inj.action == InjectAction::kStuckAt1) {
+    slot[w] |= m;
+    slot[N + w] &= ~m;
+    return;
+  }
+  const std::uint64_t c1 = slot[w], c0 = slot[N + w];
+  const std::uint64_t p1 = memory[w], p0 = memory[N + w];
+  const bool rise = inj.action == InjectAction::kSlowToRise;
+  const std::uint64_t one = rise ? c1 & p1 : c1 | p1;   // AND(c, p) : OR(c, p)
+  const std::uint64_t zero = rise ? c0 | p0 : c0 & p0;
+  slot[w] = (c1 & ~m) | (one & m);
+  slot[N + w] = (c0 & ~m) | (zero & m);
+  memory[w] = (p1 & ~m) | (c1 & m);
+  memory[N + w] = (p0 & ~m) | (c0 & m);
+}
 
 /// Scratch per-group chain of gate injections. head(node) is an index into
 /// the link list, or -1. attach()/detach() touch only the injected nodes,
@@ -90,12 +133,13 @@ class InjectionIndex {
 /// kernel.cpp). `vals` holds node_count slots of 2*N plane words each
 /// (layout of Word3Block: 'one' words then 'zero' words, see word_block.h);
 /// `fanin_buf` must hold max_fanin * 2*N words of staging space for
-/// injected gates.
+/// injected gates; `memory` is the 2N-word previous-value slot of the
+/// transition injections (see inject()), null when there are none.
 template <unsigned N>
 void eval_core(std::span<const GateRec> gates,
                const netlist::NodeId* flat_fanin,
                const InjectionIndex& inj_index, std::uint64_t* vals,
-               std::uint64_t* fanin_buf);
+               std::uint64_t* fanin_buf, std::uint64_t* memory);
 
 /// Fingerprint of the kernel the fault simulator runs, recorded in
 /// benchmark records and the `kernel.backend` metrics label.

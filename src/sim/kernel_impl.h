@@ -9,19 +9,6 @@
 
 namespace wbist::sim::detail {
 
-/// Apply a stuck-at mask to one plane word of a 2N-word value slot.
-template <unsigned N>
-inline void force_planes(std::uint64_t* planes, unsigned word,
-                         std::uint64_t mask, bool sa1) {
-  if (sa1) {
-    planes[word] |= mask;
-    planes[N + word] &= ~mask;
-  } else {
-    planes[word] &= ~mask;
-    planes[N + word] |= mask;
-  }
-}
-
 /// Fold one gate over its fanin plane slots. `at(k)` returns the 2N-word
 /// slot of fanin k; the result lands in `out` (2N words). The accumulator
 /// lives in fixed-size locals so the compiler fully unrolls the per-word
@@ -98,13 +85,14 @@ inline void fold_planes(netlist::GateType type, const FaninAt& at,
 
 /// Evaluate one gate that carries injections: stage the fanin slots in
 /// `fanin_buf`, apply pin injections there, fold, then apply stem
-/// injections on the output slot.
+/// injections (stuck-at or one-cycle delay) on the output slot.
 template <unsigned N>
 inline void eval_injected_gate(const GateRec& g,
                                const netlist::NodeId* fanin,
                                const InjectionIndex& inj_index,
                                std::int32_t head, const std::uint64_t* vals,
-                               std::uint64_t* out, std::uint64_t* fanin_buf) {
+                               std::uint64_t* out, std::uint64_t* fanin_buf,
+                               std::uint64_t* memory) {
   constexpr std::size_t kStride = 2 * N;
   for (std::uint32_t k = 0; k < g.fanin_count; ++k)
     std::memcpy(fanin_buf + k * kStride, vals + fanin[k] * kStride,
@@ -112,9 +100,8 @@ inline void eval_injected_gate(const GateRec& g,
   for (std::int32_t link = head; link >= 0; link = inj_index.next(link)) {
     const Injection& inj = inj_index.injection(link);
     if (inj.pin != kInjectStem)
-      force_planes<N>(
-          fanin_buf + static_cast<std::size_t>(inj.pin) * kStride, inj.word,
-          inj.mask, inj.sa1);
+      inject<N>(fanin_buf + static_cast<std::size_t>(inj.pin) * kStride, inj,
+                memory);
   }
   fold_planes<N>(
       g.type,
@@ -122,8 +109,7 @@ inline void eval_injected_gate(const GateRec& g,
       g.fanin_count, out);
   for (std::int32_t link = head; link >= 0; link = inj_index.next(link)) {
     const Injection& inj = inj_index.injection(link);
-    if (inj.pin == kInjectStem)
-      force_planes<N>(out, inj.word, inj.mask, inj.sa1);
+    if (inj.pin == kInjectStem) inject<N>(out, inj, memory);
   }
 }
 
@@ -135,7 +121,7 @@ template <unsigned N>
 void eval_core(std::span<const GateRec> gates,
                const netlist::NodeId* flat_fanin,
                const InjectionIndex& inj_index, std::uint64_t* vals,
-               std::uint64_t* fanin_buf) {
+               std::uint64_t* fanin_buf, std::uint64_t* memory) {
   constexpr std::size_t kStride = 2 * N;
   for (const GateRec& g : gates) {
     const netlist::NodeId* fanin = flat_fanin + g.fanin_begin;
@@ -148,7 +134,7 @@ void eval_core(std::span<const GateRec> gates,
           g.fanin_count, out);
     } else {
       detail::eval_injected_gate<N>(g, fanin, inj_index, head, vals, out,
-                                    fanin_buf);
+                                    fanin_buf, memory);
     }
   }
 }

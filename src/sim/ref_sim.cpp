@@ -79,8 +79,23 @@ RefValueMatrix RefSimulator::simulate(const TestSequence& seq,
   const auto ffs = nl.flip_flops();
   if (seq.length() != 0 && seq.width() != pis.size())
     throw std::invalid_argument("ref_sim: sequence width != #inputs");
+  const bool transition =
+      fault != nullptr && fault->model != RefFault::Model::kStuckAt;
   const Val3 stuck =
       fault != nullptr && fault->stuck_at_one ? Val3::kOne : Val3::kZero;
+  // A faulty stem's value given the value c it computes: the stuck value,
+  // or for a transition fault c combined with the previous time unit's c.
+  Val3 prev = Val3::kX;  // the transition stem's computed value, one unit back
+  Val3 computed = Val3::kX;
+  const auto stem_value = [&](Val3 c) {
+    if (!transition) return stuck;
+    computed = c;
+    const Val3 in[2] = {c, prev};
+    return ref_eval_gate(fault->model == RefFault::Model::kSlowToRise
+                             ? GateType::kAnd
+                             : GateType::kOr,
+                         in);
+  };
 
   RefValueMatrix matrix;
   matrix.reserve(seq.length());
@@ -94,12 +109,15 @@ RefValueMatrix RefSimulator::simulate(const TestSequence& seq,
     // re-evaluated by the relaxation, so forcing once holds for the cycle.
     if (fault != nullptr && fault->pin < 0) {
       const Node& n = nl.node(fault->node);
-      if (!netlist::is_logic_gate(n.type)) vals[fault->node] = stuck;
+      if (!netlist::is_logic_gate(n.type))
+        vals[fault->node] = stem_value(vals[fault->node]);
     }
 
     // Fixed-point relaxation over the combinational core in plain node-id
     // order. Bounded by node_count passes (each pass settles at least one
-    // more level); one extra pass verifies stability.
+    // more level); one extra pass verifies stability. A transition stem's
+    // previous value is fixed for the whole time unit, so its faulty output
+    // stays monotone in its inputs and the relaxation still converges.
     std::vector<Val3> fanin;
     bool changed = true;
     for (std::size_t pass = 0; changed && pass <= nl.node_count(); ++pass) {
@@ -114,7 +132,7 @@ RefValueMatrix RefSimulator::simulate(const TestSequence& seq,
           fanin[static_cast<std::size_t>(fault->pin)] = stuck;
         Val3 out = ref_eval_gate(n.type, fanin);
         if (fault != nullptr && fault->pin < 0 && fault->node == id)
-          out = stuck;
+          out = stem_value(out);
         if (out != vals[id]) {
           vals[id] = out;
           changed = true;
@@ -123,6 +141,7 @@ RefValueMatrix RefSimulator::simulate(const TestSequence& seq,
     }
     if (changed)
       throw std::logic_error("ref_sim: relaxation failed to converge");
+    prev = computed;
 
     // Latch: flip-flop i captures its D signal, with D-pin faults forced.
     for (std::size_t i = 0; i < ffs.size(); ++i) {

@@ -26,13 +26,19 @@
 
 namespace wbist::sim {
 
-/// A single stuck-at fault, described structurally. Mirrors fault::Fault
-/// (node / pin / polarity) without depending on the fault layer, which is
+/// A single fault, described structurally. Mirrors fault::Fault (node /
+/// pin / polarity / model) without depending on the fault layer, which is
 /// built on top of sim.
 struct RefFault {
+  enum class Model { kStuckAt, kSlowToRise, kSlowToFall };
+
   netlist::NodeId node = netlist::kNoNode;
   int pin = -1;  ///< -1 = output stem; otherwise fanin pin index
   bool stuck_at_one = false;
+  /// Transition models apply to stems only: the line drives AND(c, p)
+  /// (slow-to-rise) or OR(c, p) (slow-to-fall) of its computed value c and
+  /// the value p it computed the time unit before (X before the first).
+  Model model = Model::kStuckAt;
 };
 
 /// values[u][node]: value of every node during time unit u (the pre-latch
@@ -55,7 +61,8 @@ class RefSimulator {
 
   /// Single-fault simulation: the stuck-at value is forced on the faulty
   /// line every time unit (stem faults on the node's output, pin faults on
-  /// one fanin of one gate, D-pin faults on the value a flip-flop latches).
+  /// one fanin of one gate, D-pin faults on the value a flip-flop latches);
+  /// a transition fault delays its stem by one time unit.
   RefValueMatrix run(const TestSequence& seq, const RefFault& fault) const;
 
   const netlist::Netlist& circuit() const { return *nl_; }

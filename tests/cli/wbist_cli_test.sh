@@ -69,6 +69,18 @@ if [ -n "$WBIST_BENCH" ]; then
     echo "FAIL: wbist_bench --kernel auto: exit $got, wanted 2" >&2
     FAILURES=$((FAILURES + 1))
   fi
+  # --threads takes a non-negative count: text, a sign or trailing text is a
+  # usage error, never read as 0 (= all cores) or wrapped to a huge count.
+  for bad in abc -1 4x ""; do
+    "$WBIST_BENCH" --threads "$bad" --circuits s27 \
+      --out "$WORK/cwd/b.json" > /dev/null 2> "$WORK/err.txt"
+    got=$?
+    if [ "$got" -ne 2 ] || [ -e "$WORK/cwd/b.json" ] ||
+       ! grep -q '^usage: wbist_bench' "$WORK/err.txt"; then
+      echo "FAIL: wbist_bench --threads '$bad': exit $got, wanted 2 + usage" >&2
+      FAILURES=$((FAILURES + 1))
+    fi
+  done
 fi
 
 # Runtime failures -> exit 1.

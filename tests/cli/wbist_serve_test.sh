@@ -138,6 +138,43 @@ diff "$WORK/cli.seq" "$WORK/daemon.seq" > /dev/null \
 grep -q '32/32 faults detected' "$WORK/fsim.txt" \
   || fail "daemon fsim did not report full coverage"
 
+# A fault-sim request's "threads" must lie in [0, cores]: a negative or
+# huge count is a usage error (exit 2), not one OS thread per fault group.
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$SOCK" "$WORK/daemon.seq" > "$WORK/threads.txt" 2>&1 << 'PYEOF'
+import json, socket, struct, sys
+
+path, seq_path = sys.argv[1], sys.argv[2]
+sequence = open(seq_path).read()
+
+def ask(threads):
+    req = json.dumps({"schema": "wbist.serve/1", "job": "fault-sim",
+                      "circuit": "s27", "sequence": sequence,
+                      "threads": threads}).encode()
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(path)
+    s.settimeout(30)
+    s.sendall(struct.pack(">I", len(req)) + req)
+    data = b""
+    while len(data) < 4 or len(data) < 4 + struct.unpack(">I", data[:4])[0]:
+        chunk = s.recv(65536)
+        if not chunk:
+            sys.exit("daemon closed before answering threads=%r" % threads)
+        data += chunk
+    s.close()
+    return json.loads(data[4:])
+
+for bad in (-1, 100000):
+    r = ask(bad)
+    if r.get("exit") != 2 or "threads" not in r.get("error", ""):
+        sys.exit("threads=%r should answer exit 2, got: %r" % (bad, r))
+if ask(1).get("exit") != 0:
+    sys.exit("threads=1 should still run")
+print("threads checks passed")
+PYEOF
+  [ $? -eq 0 ] || { cat "$WORK/threads.txt" >&2; fail "threads validation checks failed"; }
+fi
+
 # The cache compiled each circuit once; every later request was a hit.
 "$WBIST" submit --socket "$SOCK" metrics > "$WORK/metrics.txt" 2>&1
 grep -q '"artifact_cache.compiles": 2' "$WORK/metrics.txt" \

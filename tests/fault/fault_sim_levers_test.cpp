@@ -72,9 +72,7 @@ void expect_levers_bit_identical(const Netlist& nl, const TestSequence& seq,
   std::vector<std::int32_t> want_time;
   std::size_t want_count = 0;
   for (const FaultId f : ids) {
-    const Fault& fault = faults[f];
-    const sim::RefValueMatrix faulty =
-        oracle.run(seq, {fault.node, fault.pin, fault.stuck_at_one});
+    const sim::RefValueMatrix faulty = oracle.run(seq, ref_fault(faults[f]));
     want_time.push_back(sim::ref_detection_time(good, faulty, observed));
     if (want_time.back() != DetectionResult::kUndetected) ++want_count;
   }

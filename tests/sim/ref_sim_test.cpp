@@ -122,7 +122,7 @@ TEST(RefSim, DetectionTimesMatchFaultSimulator) {
                                   nl.primary_outputs().end());
     for (fault::FaultId f = 0; f < faults.size(); ++f) {
       const fault::Fault& fl = faults[f];
-      const RefFault rf{fl.node, fl.pin, fl.stuck_at_one};
+      const RefFault rf = fault::ref_fault(fl);
       const RefValueMatrix faulty = ref.run(seq, rf);
       EXPECT_EQ(ref_detection_time(good, faulty, pos), det.detection_time[f])
           << name << " fault " << fault_name(nl, fl);
@@ -143,7 +143,7 @@ TEST(RefSim, ObservableLinesMatchFaultSimulator) {
   const RefValueMatrix good = ref.run(seq);
   for (std::size_t k = 0; k < ids.size(); ++k) {
     const fault::Fault& fl = faults[ids[k]];
-    const RefFault rf{fl.node, fl.pin, fl.stuck_at_one};
+    const RefFault rf = fault::ref_fault(fl);
     EXPECT_EQ(ref_observable_lines(good, ref.run(seq, rf)), lines[k])
         << "fault " << fault_name(nl, fl);
   }

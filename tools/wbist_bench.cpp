@@ -15,6 +15,7 @@
 //
 // Schema "wbist.bench.procedure/1": field names and meanings are frozen —
 // extend by *adding* keys, never by renaming or repurposing existing ones.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -269,7 +270,10 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--threads") {
       const char* v = need_value("--threads");
       if (v == nullptr) return 2;
-      threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      // A count, 0 = all cores: no sign, no trailing text, no wrap-around.
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, threads);
+      if (ec != std::errc() || ptr != end) return usage();
     } else if (args[i] == "--label") {
       const char* v = need_value("--label");
       if (v == nullptr) return 2;

@@ -117,10 +117,20 @@ void campaign_sim_diff(FuzzCase& fc) {
   const netlist::Netlist nl = circuits::generate_circuit(profile);
   fc.stash("circuit.bench", netlist::write_bench(nl));
 
+  // A stuck-at universe, in half the cases followed by every transition
+  // fault, so groups mix both fault models.
   const bool collapsed = rng.next_bit();
-  const fault::FaultSet faults = collapsed
-                                     ? fault::FaultSet::collapsed(nl)
-                                     : fault::FaultSet::uncollapsed(nl);
+  const bool transitions = rng.next_bit();
+  const fault::FaultSet stuck = collapsed ? fault::FaultSet::collapsed(nl)
+                                          : fault::FaultSet::uncollapsed(nl);
+  std::vector<fault::Fault> universe(stuck.faults().begin(),
+                                     stuck.faults().end());
+  if (transitions) {
+    const fault::FaultSet delay = fault::FaultSet::transitions(nl);
+    universe.insert(universe.end(), delay.faults().begin(),
+                    delay.faults().end());
+  }
+  const fault::FaultSet faults = fault::FaultSet::from_faults(universe);
   const std::vector<fault::FaultId> ids = faults.all_ids();
 
   // Mostly short sequences; roughly one case in six runs long enough to
@@ -150,7 +160,8 @@ void campaign_sim_diff(FuzzCase& fc) {
       rng.below(4) == 0 ? 1 + rng.below(length) : length;
   fc.stash("setup.txt",
            "faults: " + std::to_string(ids.size()) +
-               (collapsed ? " (collapsed)\n" : " (uncollapsed)\n") +
+               (collapsed ? " (collapsed" : " (uncollapsed") +
+               (transitions ? " stuck-at + transition)\n" : " stuck-at)\n") +
                "observation points: " + nodes_to_string(nl, obs) + "\n" +
                "max_time_units: " + std::to_string(max_time) + "\n" +
                "levers: cones=" + std::to_string(lever_cones) +
@@ -177,8 +188,7 @@ void campaign_sim_diff(FuzzCase& fc) {
   std::vector<std::vector<Val3>> want_final(ids.size());
   for (std::size_t k = 0; k < ids.size(); ++k) {
     const fault::Fault& f = faults[ids[k]];
-    const sim::RefFault rf{f.node, f.pin, f.stuck_at_one};
-    const sim::RefValueMatrix faulty = ref.run(eff, rf);
+    const sim::RefValueMatrix faulty = ref.run(eff, fault::ref_fault(f));
     want_det[k] = sim::ref_detection_time(good, faulty, observed);
     want_lines[k] = sim::ref_observable_lines(good, faulty);
     want_final[k].reserve(probes.size());
